@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -190,6 +191,11 @@ def _read_table(path):
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
     return header, rows
 
 
@@ -221,87 +227,68 @@ def read_entropy_csv(path) -> EntropyCurve:
 
 
 # ---------------------------------------------------------------------------
-# machine construction shared by the sampling commands
+# pieces shared by several commands
 
-_MACHINE_OPTS = [
-    Opt("--machine", str, required=True,
-        help="perceptron-exact | sphere-linear | mlp"),
-    Opt("--p", int, help="feature dimension (perceptron-exact)"),
-    Opt("--delta", float, help="class separation (perceptron-exact)"),
-    Opt("--data", str, help="dataset CSV (sphere-linear / mlp)"),
-    Opt("--layer-sizes", _int_list, help="mlp layer sizes, e.g. 16,2"),
-    Opt("--split", float, default=0.5, help="acceptance-data fraction of the dataset"),
-    Opt("--proposal-scale", float, default=0.05),
-    Opt("--burn-in", int, default=2000),
-    Opt("--samples", int, default=1000),
-    Opt("--thin", int, default=2),
-    Opt("--chains", int, default=1),
-    Opt("--seed", int, required=True),
-    Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
-    Opt("--cold-start", is_flag=True, help="fresh random start per grid point"),
-    Opt("--init-scale", float, default=1.0, help="std of the random initial weights"),
-    Opt("--out", str, required=True),
-]
+
+def _gaussian(params) -> GaussianClassSpec:
+    return GaussianClassSpec(params["p"], params["delta"])
+
+
+def _grid(params, name) -> list:
+    """``--<name>-grid`` if given, else the single ``--<name>`` value."""
+    grid = params[f"{name}_grid"] or [params[name]]
+    if grid == [None]:
+        raise UsageError(f"need --{name} or --{name}-grid")
+    return grid
+
+
+def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
+    """Spec of a dataset-backed machine named on the command line."""
+    if kind == "sphere-linear":
+        return PredictorSpec(kind="sphere_linear", input_dim=input_dim)
+    if kind == "mlp":
+        if not layer_sizes:
+            raise UsageError("mlp needs --layer-sizes")
+        return PredictorSpec(kind="mlp", input_dim=input_dim, layer_sizes=tuple(layer_sizes))
+    raise UsageError(f"unknown machine {kind!r}")
 
 
 def _build_machine(params, manifest):
+    """(spec, acceptance risk, report risk) of the ``--machine`` being sampled."""
     machine = params["machine"]
     if machine == "perceptron-exact":
         if params["p"] is None or params["delta"] is None:
             raise UsageError("perceptron-exact needs --p and --delta")
-        spec = PredictorSpec(kind="sphere_linear", input_dim=params["p"])
         delta = params["delta"]
 
         def risk_fn(w):
             # target direction is the first axis; risk depends only on the angle
             return float(ndtr(-delta * w.values[0]))
 
-        return spec, risk_fn, risk_fn, None, None
-    if machine in ("sphere-linear", "mlp"):
-        if params["data"] is None:
-            raise UsageError(f"{machine} needs --data")
-        data = dataset_from_csv(params["data"])
-        manifest.add_input(params["data"])
-        if machine == "sphere-linear":
-            spec = PredictorSpec(kind="sphere_linear", input_dim=data.feature_dim)
-        else:
-            if not params["layer_sizes"]:
-                raise UsageError("mlp needs --layer-sizes")
-            spec = PredictorSpec(kind="mlp", input_dim=data.feature_dim,
-                                 layer_sizes=tuple(params["layer_sizes"]))
-        accept_data, report_data = split(data, params["split"], stream(params["seed"], 9000))
+        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
+    if params["data"] is None:
+        raise UsageError(f"{machine} needs --data")
+    data = dataset_from_csv(params["data"])
+    manifest.add_input(params["data"])
+    spec = _predictor_spec(machine, data.feature_dim, params["layer_sizes"])
+    accept_data, report_data = split(data, params["split"], stream(params["seed"], 9000))
 
-        def risk_fn(w):
-            return empirical_risk(spec, w, accept_data)
+    def risk_fn(w):
+        return empirical_risk(spec, w, accept_data)
 
-        def report_fn(w):
-            return empirical_risk(spec, w, report_data)
+    def report_fn(w):
+        return empirical_risk(spec, w, report_data)
 
-        return spec, risk_fn, report_fn, accept_data, report_data
-    raise UsageError(f"unknown machine {machine!r}")
+    return spec, risk_fn, report_fn
 
 
-def _machine_is_spherical(params) -> bool:
-    # chains always walk a compact weight space; for the mlp that means the
-    # unit sphere, since the flat measure on all of R^n is improper at beta=0
-    return params["machine"] == "mlp"
-
-
-def _run_sweep(command, params, grid, mode, grid_column):
-    manifest = Manifest(command, params)
-    spec, risk_fn, report_fn, accept_data, report_data = _build_machine(params, manifest)
-    base = ChainConfig(
-        beta=0.0,
-        proposal_scale=params["proposal_scale"],
-        burn_in=params["burn_in"],
-        samples=params["samples"],
-        thin=params["thin"],
-        seed=params["seed"],
-        acceptance_data=accept_data,
-        report_data=report_data,
-    )
+def _run_sweep(params, manifest, mode, grid_column):
+    """``sample`` commands: the curve goes to --out, each chain to <out>.chains/."""
+    spec, risk_fn, report_fn = _build_machine(params, manifest)
+    base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
+                       samples=params["samples"], thin=params["thin"], seed=params["seed"])
     sweep = boltzmann_sweep(
-        grid,
+        params[f"{grid_column}_grid"],
         base,
         spec,
         risk_fn,
@@ -311,7 +298,9 @@ def _run_sweep(command, params, grid, mode, grid_column):
         calibrate=bool(params["calibrate"]),
         init_scale=params["init_scale"],
         mode=mode,
-        sphere_weights=_machine_is_spherical(params),
+        # chains always walk a compact weight space; for the mlp that means the
+        # unit sphere, since the flat measure on all of R^n is improper at beta=0
+        sphere_weights=params["machine"] == "mlp",
     )
     out = params["out"]
     write_csv(
@@ -334,127 +323,70 @@ def _run_sweep(command, params, grid, mode, grid_column):
             scales.append(res.proposal_scale)
     manifest.record["step_counts"] = {"total_steps": total_steps}
     manifest.record["proposal_scales"] = scales
-    manifest.write(out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns its (header, rows) table for dispatch to
+# write to --out, or None when it writes and registers its own files
 
 
-def _cmd_analytic_perceptron_entropy(command, params):
-    manifest = Manifest(command, params)
-    spec = GaussianClassSpec(params["p"], params["delta"])
-    if params["r_grid"]:
-        grid = params["r_grid"]
-    else:
-        lo = spec.r_min + params["r_pad"]
-        hi = 1.0 - spec.r_min - params["r_pad"]
-        grid = np.linspace(lo, hi, params["points"])
-    rows = [(r, risk_entropy(float(r), spec)) for r in grid]
-    write_csv(params["out"], ["r", "s"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+def _cmd_analytic_perceptron_entropy(params, manifest):
+    spec = _gaussian(params)
+    pad = params["r_pad"]
+    grid = params["r_grid"] or np.linspace(spec.r_min + pad, 1.0 - spec.r_min - pad, params["points"])
+    return ["r", "s"], [(r, risk_entropy(float(r), spec)) for r in grid]
 
 
-def _cmd_analytic_boltzmann_risk(command, params):
-    manifest = Manifest(command, params)
-    spec = GaussianClassSpec(params["p"], params["delta"])
-    rows = [(b, boltzmann_risk_exact(float(b), spec)) for b in params["beta_grid"]]
-    write_csv(params["out"], ["beta", "risk"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+def _cmd_analytic_boltzmann_risk(params, manifest):
+    spec = _gaussian(params)
+    return ["beta", "risk"], [(b, boltzmann_risk_exact(float(b), spec)) for b in params["beta_grid"]]
 
 
-def _cmd_analytic_hebbian(command, params):
-    manifest = Manifest(command, params)
-    spec = GaussianClassSpec(params["p"], params["delta"])
-    rows = [(m, hebbian_expected_risk(int(m), spec)) for m in params["m_grid"]]
-    write_csv(params["out"], ["m", "risk"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+def _cmd_analytic_hebbian(params, manifest):
+    spec = _gaussian(params)
+    return ["m", "risk"], [(m, hebbian_expected_risk(int(m), spec)) for m in params["m_grid"]]
 
 
-def _cmd_analytic_gardner(command, params):
-    manifest = Manifest(command, params)
-    alphas = params["alpha_grid"] if params["alpha_grid"] else [params["alpha"]]
-    if alphas is None or alphas == [None]:
-        raise UsageError("need --alpha or --alpha-grid")
-    rows = []
-    for alpha in alphas:
-        state = solve_saddle(float(alpha))
-        rows.append((state.alpha, state.q, state.r, state.r * state.alpha))
-    write_csv(params["out"], ["alpha", "q", "r", "r_times_alpha"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+def _cmd_analytic_gardner(params, manifest):
+    states = [solve_saddle(float(alpha)) for alpha in _grid(params, "alpha")]
+    return ["alpha", "q", "r", "r_times_alpha"], [(s.alpha, s.q, s.r, s.r * s.alpha) for s in states]
 
 
-def _cmd_analytic_gibbs_annealed(command, params):
-    manifest = Manifest(command, params)
+def _cmd_analytic_gibbs_annealed(params, manifest):
     curve = read_entropy_csv(params["entropy"])
     manifest.add_input(params["entropy"])
-    ms = params["m_grid"] if params["m_grid"] else [params["m"]]
-    if ms is None or ms == [None]:
-        raise UsageError("need --m or --m-grid")
-    rows = [(m, predicted_annealed_risk(curve, int(m))) for m in ms]
-    write_csv(params["out"], ["m", "predicted_risk"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+    return ["m", "predicted_risk"], [(m, predicted_annealed_risk(curve, int(m)))
+                                     for m in _grid(params, "m")]
 
 
-def _cmd_simulate_hebbian(command, params):
-    manifest = Manifest(command, params)
-    spec = GaussianClassSpec(params["p"], params["delta"])
+def _cmd_simulate_hebbian(params, manifest):
+    spec = _gaussian(params)
     rows = []
     for i, m in enumerate(params["m_grid"]):
         mean, stderr = hebbian_simulate(int(m), spec, params["runs"], params["seed"],
                                         subseed_path=(i,))
         rows.append((m, mean, stderr))
-    write_csv(params["out"], ["m", "mean_risk", "stderr"], rows)
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+    return ["m", "mean_risk", "stderr"], rows
 
 
-def _cmd_data_gen_gaussian(command, params):
-    manifest = Manifest(command, params)
-    spec = GaussianClassSpec(params["p"], params["delta"])
-    data = gen_gaussian_pair(spec, params["n"], stream(params["seed"]))
+def _cmd_data_gen_gaussian(params, manifest):
+    data = gen_gaussian_pair(_gaussian(params), params["n"], stream(params["seed"]))
     dataset_to_csv(data, params["out"])
     manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
 
 
-def _cmd_data_load_idx(command, params):
-    manifest = Manifest(command, params)
+def _cmd_data_load_idx(params, manifest):
     data = load_idx(params["images"], params["labels"])
     manifest.add_input(params["images"])
     manifest.add_input(params["labels"])
     dataset_to_csv(data, params["out"])
     manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
 
 
-def _cmd_data_relabel(command, params):
-    manifest = Manifest(command, params)
+def _cmd_data_relabel(params, manifest):
     data = dataset_from_csv(params["data"])
     manifest.add_input(params["data"])
-    if params["kind"] == "sphere-linear":
-        spec = PredictorSpec(kind="sphere_linear", input_dim=data.feature_dim)
-    elif params["kind"] == "mlp":
-        if not params["layer_sizes"]:
-            raise UsageError("mlp teacher needs --layer-sizes")
-        spec = PredictorSpec(kind="mlp", input_dim=data.feature_dim,
-                             layer_sizes=tuple(params["layer_sizes"]))
-    else:
-        raise UsageError(f"unknown teacher kind {params['kind']!r}")
+    spec = _predictor_spec(params["kind"], data.feature_dim, params["layer_sizes"])
     if params["teacher_weights"]:
         w_star = load_weight_vector(params["teacher_weights"], spec.weight_constraint)
         manifest.add_input(params["teacher_weights"])
@@ -462,38 +394,21 @@ def _cmd_data_relabel(command, params):
         if params["teacher_seed"] is None:
             raise UsageError("need --teacher-weights or --teacher-seed")
         w_star = random_weights(spec, params["teacher_scale"], stream(params["teacher_seed"]))
-    relabeled = teacher_relabel(data, spec, w_star)
-    dataset_to_csv(relabeled, params["out"])
+    dataset_to_csv(teacher_relabel(data, spec, w_star), params["out"])
     manifest.add_output(params["out"])
     if params["save_teacher"]:
         save_weight_vector(w_star, params["save_teacher"])
         manifest.add_output(params["save_teacher"])
-    manifest.write(params["out"])
-    return 0
 
 
-def _cmd_sample_boltzmann_sweep(command, params):
-    return _run_sweep(command, params, params["beta_grid"], "boltzmann", "beta")
-
-
-def _cmd_sample_annealed(command, params):
-    return _run_sweep(command, params, [float(m) for m in params["m_grid"]], "annealed", "m")
-
-
-def _cmd_reconstruct_entropy(command, params):
-    manifest = Manifest(command, params)
+def _cmd_reconstruct_entropy(params, manifest):
     curve = read_curve_csv(params["curve"])
     manifest.add_input(params["curve"])
     entropy = reconstruct(curve, anchor_s0=params["anchor_s0"])
-    write_csv(params["out"], ["r", "s", "pooled_flag"],
-              zip(entropy.r, entropy.s, entropy.pooled))
-    manifest.add_output(params["out"])
-    manifest.write(params["out"])
-    return 0
+    return ["r", "s", "pooled_flag"], zip(entropy.r, entropy.s, entropy.pooled)
 
 
-def _cmd_fit_quadratic(command, params):
-    manifest = Manifest(command, params)
+def _cmd_fit_quadratic(params, manifest):
     curve = read_entropy_csv(params["entropy"])
     manifest.add_input(params["entropy"])
     c0, c1, c2, rms = quadratic_fit(curve)
@@ -501,76 +416,87 @@ def _cmd_fit_quadratic(command, params):
     _atomic_write(params["out"], json.dumps(payload, indent=2) + "\n")
     manifest.add_output(params["out"])
     manifest.record["fit"] = payload
-    manifest.write(params["out"])
-    return 0
+
+
+_OUT = Opt("--out", str, required=True)
+_GAUSSIAN_OPTS = [Opt("--p", int, required=True), Opt("--delta", float, required=True)]
+_MACHINE_OPTS = [
+    Opt("--machine", str, required=True,
+        help="perceptron-exact | sphere-linear | mlp"),
+    Opt("--p", int, help="feature dimension (perceptron-exact)"),
+    Opt("--delta", float, help="class separation (perceptron-exact)"),
+    Opt("--data", str, help="dataset CSV (sphere-linear / mlp)"),
+    Opt("--layer-sizes", _int_list, help="mlp layer sizes, e.g. 16,2"),
+    Opt("--split", float, default=0.5, help="acceptance-data fraction of the dataset"),
+    Opt("--proposal-scale", float, default=0.05),
+    Opt("--burn-in", int, default=2000),
+    Opt("--samples", int, default=1000),
+    Opt("--thin", int, default=2),
+    Opt("--chains", int, default=1),
+    Opt("--seed", int, required=True),
+    Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
+    Opt("--cold-start", is_flag=True, help="fresh random start per grid point"),
+    Opt("--init-scale", float, default=1.0, help="std of the random initial weights"),
+    _OUT,
+]
 
 
 _COMMANDS = {
     ("analytic", "perceptron-entropy"): (
-        [Opt("--p", int, required=True), Opt("--delta", float, required=True),
-         Opt("--points", int, default=201), Opt("--r-pad", float, default=1e-4),
-         Opt("--r-grid", _float_list), Opt("--out", str, required=True)],
+        _GAUSSIAN_OPTS + [Opt("--points", int, default=201), Opt("--r-pad", float, default=1e-4),
+                          Opt("--r-grid", _float_list), _OUT],
         _cmd_analytic_perceptron_entropy,
     ),
     ("analytic", "boltzmann-risk"): (
-        [Opt("--p", int, required=True), Opt("--delta", float, required=True),
-         Opt("--beta-grid", _float_list, required=True), Opt("--out", str, required=True)],
+        _GAUSSIAN_OPTS + [Opt("--beta-grid", _float_list, required=True), _OUT],
         _cmd_analytic_boltzmann_risk,
     ),
     ("analytic", "hebbian"): (
-        [Opt("--p", int, required=True), Opt("--delta", float, required=True),
-         Opt("--m-grid", _int_list, required=True), Opt("--out", str, required=True)],
+        _GAUSSIAN_OPTS + [Opt("--m-grid", _int_list, required=True), _OUT],
         _cmd_analytic_hebbian,
     ),
     ("analytic", "gardner"): (
-        [Opt("--alpha", float), Opt("--alpha-grid", _float_list),
-         Opt("--out", str, required=True)],
+        [Opt("--alpha", float), Opt("--alpha-grid", _float_list), _OUT],
         _cmd_analytic_gardner,
     ),
     ("analytic", "gibbs-annealed"): (
-        [Opt("--entropy", str, required=True), Opt("--m", int), Opt("--m-grid", _int_list),
-         Opt("--out", str, required=True)],
+        [Opt("--entropy", str, required=True), Opt("--m", int), Opt("--m-grid", _int_list), _OUT],
         _cmd_analytic_gibbs_annealed,
     ),
     ("simulate", "hebbian"): (
-        [Opt("--p", int, required=True), Opt("--delta", float, required=True),
-         Opt("--m-grid", _int_list, required=True), Opt("--runs", int, default=100),
-         Opt("--seed", int, required=True), Opt("--out", str, required=True)],
+        _GAUSSIAN_OPTS + [Opt("--m-grid", _int_list, required=True), Opt("--runs", int, default=100),
+                          Opt("--seed", int, required=True), _OUT],
         _cmd_simulate_hebbian,
     ),
     ("data", "gen-gaussian"): (
-        [Opt("--p", int, required=True), Opt("--delta", float, required=True),
-         Opt("--n", int, required=True), Opt("--seed", int, required=True),
-         Opt("--out", str, required=True)],
+        _GAUSSIAN_OPTS + [Opt("--n", int, required=True), Opt("--seed", int, required=True), _OUT],
         _cmd_data_gen_gaussian,
     ),
     ("data", "load-idx"): (
-        [Opt("--images", str, required=True), Opt("--labels", str, required=True),
-         Opt("--out", str, required=True)],
+        [Opt("--images", str, required=True), Opt("--labels", str, required=True), _OUT],
         _cmd_data_load_idx,
     ),
     ("data", "relabel"): (
         [Opt("--data", str, required=True), Opt("--kind", str, default="mlp"),
          Opt("--layer-sizes", _int_list), Opt("--teacher-weights", str),
          Opt("--teacher-seed", int), Opt("--teacher-scale", float, default=1.0),
-         Opt("--save-teacher", str), Opt("--out", str, required=True)],
+         Opt("--save-teacher", str), _OUT],
         _cmd_data_relabel,
     ),
     ("sample", "boltzmann-sweep"): (
         _MACHINE_OPTS + [Opt("--beta-grid", _float_list, required=True)],
-        _cmd_sample_boltzmann_sweep,
+        partial(_run_sweep, mode="boltzmann", grid_column="beta"),
     ),
     ("sample", "annealed"): (
         _MACHINE_OPTS + [Opt("--m-grid", _int_list, required=True)],
-        _cmd_sample_annealed,
+        partial(_run_sweep, mode="annealed", grid_column="m"),
     ),
     ("reconstruct", "entropy"): (
-        [Opt("--curve", str, required=True), Opt("--anchor-s0", float, default=0.0),
-         Opt("--out", str, required=True)],
+        [Opt("--curve", str, required=True), Opt("--anchor-s0", float, default=0.0), _OUT],
         _cmd_reconstruct_entropy,
     ),
     ("fit", "quadratic"): (
-        [Opt("--entropy", str, required=True), Opt("--out", str, required=True)],
+        [Opt("--entropy", str, required=True), _OUT],
         _cmd_fit_quadratic,
     ),
 }
@@ -590,7 +516,11 @@ def _build_parser() -> _Parser:
 
 
 def dispatch(argv) -> int:
-    """Run one CLI command; returns 0 (ok), 1 (usage), or 2 (runtime failure)."""
+    """Run one CLI command; returns 0 (ok), 1 (usage), or 2 (runtime failure).
+
+    Owns the run record: creates the manifest, writes the handler's table to
+    ``--out`` and registers it, then writes ``<out>.manifest.json``.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -598,7 +528,13 @@ def dispatch(argv) -> int:
             raise UsageError("expected a command, e.g. 'analytic gardner'")
         opts, handler = _COMMANDS[(args.group, args.name)]
         params = _merge(args, opts)
-        return handler([args.group, args.name], params)
+        manifest = Manifest([args.group, args.name], params)
+        table = handler(params, manifest)
+        if table is not None:
+            write_csv(params["out"], *table)
+            manifest.add_output(params["out"])
+        manifest.write(params["out"])
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (UsageError, ConfigError) as exc:
@@ -611,3 +547,7 @@ def dispatch(argv) -> int:
 
 def main():
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

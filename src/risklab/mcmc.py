@@ -3,9 +3,9 @@
 Chains target either the Boltzmann weight e^{−β·R(w)} (``metropolis_step``)
 or the annealed posterior (1 − R(w))^m (``annealed_step``), with a compound
 minibatch proposal available for expensive risks.  Acceptance always uses
-the risk on the configured acceptance data while the recorded "report" risk
-may come from a held-out set, so the number being reported is not the
-number the chain optimises.
+the acceptance risk callable while the recorded "report" risk may come from
+a second callable over held-out data, so the number being reported is not
+the number the chain optimises.
 
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
@@ -57,10 +57,9 @@ class ChainConfig:
     """Sampler settings for one chain.
 
     ``beta`` is the inverse temperature; chains run in annealed mode read it
-    as the sample count m instead.  ``acceptance_data``/``report_data`` name
-    the datasets behind the two risk roles and are carried here so that run
-    manifests can record them; the risk callables passed to the steps are
-    built from them by the caller.
+    as the sample count m instead.  ``acceptance_data`` is the dataset behind
+    the acceptance risk; ``minibatch_proposal_step`` takes its size when not
+    given ``n_examples``.  The risk callables are built by the caller.
     """
 
     beta: float
@@ -70,7 +69,6 @@ class ChainConfig:
     thin: int
     seed: int
     acceptance_data: object = None
-    report_data: object = None
 
     def __post_init__(self):
         if self.beta < 0:
@@ -419,30 +417,6 @@ def run_chain(
     )
 
 
-def _run_lane(lane, beta_grid, base_config, spec, risk_fn, report_risk_fn, warm_start,
-              calibrate, init_scale, mode, sphere_weights):
-    results = []
-    warm = None
-    for bi, beta in enumerate(beta_grid):
-        cfg = replace(base_config, beta=float(beta))
-        res = run_chain(
-            cfg,
-            spec,
-            risk_fn,
-            report_risk_fn=report_risk_fn,
-            mode=mode,
-            initial=warm,
-            init_scale=init_scale,
-            calibrate=calibrate,
-            seed_path=(lane, bi),
-            sphere_weights=sphere_weights,
-        )
-        results.append(res)
-        if warm_start:
-            warm = res.final_state.w
-    return results
-
-
 def boltzmann_sweep(
     beta_grid,
     base_config: ChainConfig,
@@ -469,26 +443,34 @@ def boltzmann_sweep(
     if n_chains < 1:
         raise DomainError(f"n_chains must be >= 1, got {n_chains}")
 
-    lanes = []
+    def run_lane(lane):
+        results, warm = [], None
+        for bi, beta in enumerate(beta_grid):
+            res = run_chain(
+                replace(base_config, beta=beta),
+                spec,
+                risk_fn,
+                report_risk_fn=report_risk_fn,
+                mode=mode,
+                initial=warm,
+                init_scale=init_scale,
+                calibrate=calibrate,
+                seed_path=(lane, bi),
+                sphere_weights=sphere_weights,
+            )
+            results.append(res)
+            if warm_start:
+                warm = res.final_state.w
+        return results
+
+    # threads pay off only where the risk releases the GIL (large numpy
+    # kernels); one worker stays in this thread so Ctrl-C stops it at once
     workers = min(worker_count(), n_chains)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_lane, lane, beta_grid, base_config, spec, risk_fn,
-                    report_risk_fn, warm_start, calibrate, init_scale, mode,
-                    sphere_weights,
-                )
-                for lane in range(n_chains)
-            ]
-            lanes = [f.result() for f in futures]
+            lanes = list(pool.map(run_lane, range(n_chains)))
     else:
-        lanes = [
-            _run_lane(lane, beta_grid, base_config, spec, risk_fn,
-                      report_risk_fn, warm_start, calibrate, init_scale, mode,
-                      sphere_weights)
-            for lane in range(n_chains)
-        ]
+        lanes = [run_lane(lane) for lane in range(n_chains)]
 
     points = []
     for bi, beta in enumerate(beta_grid):

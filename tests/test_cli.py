@@ -1,12 +1,15 @@
 import json
+import os
 import struct
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import risklab
 from risklab.cli import dispatch, load_config
 from risklab.datasets import dataset_from_csv
 from risklab.errors import ConfigError
@@ -61,6 +64,19 @@ class TestDispatchContracts:
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
+
+    @pytest.mark.parametrize("command, text", [
+        (["fit", "quadratic", "--entropy"], "r,s\n"),
+        (["analytic", "gibbs-annealed", "--m", "10", "--entropy"], "r,s\n"),
+        (["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1\n"),
+        (["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8\n0.7,-2\n0.6,-3\n"),
+    ], ids=["fit-header-only", "gibbs-header-only", "reconstruct-short-row", "fit-short-row"])
+    def test_malformed_input_csv_exits_one(self, tmp_path, command, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "out.csv"
+        assert dispatch(command + [str(bad), "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestLoadConfig:
@@ -244,3 +260,19 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs(self, tmp_path):
+        out = tmp_path / "h.csv"
+        src = os.path.dirname(os.path.dirname(risklab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "risklab", "analytic", "hebbian", "--p", "50",
+             "--delta", "1", "--m-grid", "2,4", "--out", str(out)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        header, rows = read_rows(out)
+        assert header == ["m", "risk"] and len(rows) == 2

@@ -324,6 +324,13 @@ def exact_perceptron_risk(w):
     return float(ndtr(-2.0 * w.values[0]))
 
 
+def same_chain(a, b):
+    return (a.seed_path == b.seed_path and a.proposal_scale == b.proposal_scale
+            and (a.steps == b.steps).all() and (a.accepted == b.accepted).all()
+            and (a.risk_acceptance == b.risk_acceptance).all()
+            and (a.risk_report == b.risk_report).all())
+
+
 class TestRunChain:
     def test_matches_exact_boltzmann_risk(self):
         cfg = ChainConfig(beta=10.0, proposal_scale=0.5, burn_in=3000, samples=2000,
@@ -401,6 +408,28 @@ class TestBoltzmannSweep:
         for pw, pc in zip(warm.curve.points, cold.curve.points):
             gap = abs(pw.risk - pc.risk)
             assert gap <= 3 * math.hypot(pw.stderr, pc.stderr)
+
+    def test_results_independent_of_worker_count(self, monkeypatch):
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=200, samples=100,
+                          thin=2, seed=52)
+        sweeps = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("RISKLAB_THREADS", threads)
+            sweeps.append(boltzmann_sweep([0.0, 5.0, 20.0], cfg, PSPEC, exact_perceptron_risk,
+                                          n_chains=3, calibrate=True))
+        sequential, pooled = sweeps
+        assert sequential.curve == pooled.curve
+        for lane_a, lane_b in zip(sequential.runs, pooled.runs):
+            assert all(same_chain(a, b) for a, b in zip(lane_a, lane_b))
+
+    def test_adding_chains_keeps_existing_lanes(self):
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=200, samples=100,
+                          thin=2, seed=53)
+        grid = [0.0, 5.0, 20.0]
+        one = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk, n_chains=1)
+        three = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk, n_chains=3)
+        assert len(three.runs) == 3
+        assert all(same_chain(a, b) for a, b in zip(one.runs[0], three.runs[0]))
 
     def test_rejects_non_increasing_grid(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10,
