@@ -70,6 +70,9 @@ def _int_list(text):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
+_LIST_ITEM = {_float_list: float, _int_list: int}
+
+
 @dataclass(frozen=True)
 class Opt:
     flag: str
@@ -110,6 +113,26 @@ def load_config(path, known_keys=None) -> dict:
     return record
 
 
+def _text(value) -> str:
+    """A JSON scalar as it would be typed on the command line."""
+    if isinstance(value, (bool, list, dict)):
+        raise ValueError(f"expected a number or a string, got {json.dumps(value)}")
+    return str(value)
+
+
+def _from_config(opt, value):
+    """Config value converted with the option's type, as if given as its flag."""
+    if value is None:
+        return None
+    if opt.is_flag:
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {json.dumps(value)}")
+        return value
+    if isinstance(value, list) and opt.type in _LIST_ITEM:
+        return [_LIST_ITEM[opt.type](_text(v)) for v in value]
+    return opt.type(_text(value))
+
+
 def _merge(args, opts) -> dict:
     known = [o.dest for o in opts]
     fromfile = {}
@@ -118,8 +141,13 @@ def _merge(args, opts) -> dict:
     merged = {}
     for o in opts:
         val = getattr(args, o.dest)
+        if val is None and o.dest in fromfile:
+            try:
+                val = _from_config(o, fromfile[o.dest])
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: key {o.dest!r}: {exc}") from exc
         if val is None:
-            val = fromfile.get(o.dest, o.default)
+            val = o.default
         merged[o.dest] = val
     missing = [o.flag for o in opts if o.required and merged[o.dest] is None]
     if missing:
@@ -254,7 +282,7 @@ def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
 
 
 def _build_machine(params, manifest):
-    """(spec, acceptance risk, report risk) of the ``--machine`` being sampled."""
+    """(spec, acceptance risk, report risk, acceptance data or None) of ``--machine``."""
     machine = params["machine"]
     if machine == "perceptron-exact":
         if params["p"] is None or params["delta"] is None:
@@ -265,7 +293,7 @@ def _build_machine(params, manifest):
             # target direction is the first axis; risk depends only on the angle
             return float(ndtr(-delta * w.values[0]))
 
-        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
+        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn, None
     if params["data"] is None:
         raise UsageError(f"{machine} needs --data")
     data = dataset_from_csv(params["data"])
@@ -279,14 +307,15 @@ def _build_machine(params, manifest):
     def report_fn(w):
         return empirical_risk(spec, w, report_data)
 
-    return spec, risk_fn, report_fn
+    return spec, risk_fn, report_fn, accept_data
 
 
 def _run_sweep(params, manifest, mode, grid_column):
     """``sample`` commands: the curve goes to --out, each chain to <out>.chains/."""
-    spec, risk_fn, report_fn = _build_machine(params, manifest)
+    spec, risk_fn, report_fn, accept_data = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
-                       samples=params["samples"], thin=params["thin"], seed=params["seed"])
+                       samples=params["samples"], thin=params["thin"], seed=params["seed"],
+                       acceptance_data=accept_data)
     sweep = boltzmann_sweep(
         params[f"{grid_column}_grid"],
         base,
@@ -311,7 +340,7 @@ def _run_sweep(params, manifest, mode, grid_column):
     manifest.add_output(out)
     chains_dir = f"{out}.chains"
     os.makedirs(chains_dir, exist_ok=True)
-    total_steps = 0
+    total_steps = calibration_steps = 0
     scales = []
     for lane, results in enumerate(sweep.runs):
         for bi, res in enumerate(results):
@@ -320,8 +349,11 @@ def _run_sweep(params, manifest, mode, grid_column):
                       zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
             manifest.add_output(path)
             total_steps += int(res.steps[-1])
+            calibration_steps += res.calibration_steps
             scales.append(res.proposal_scale)
-    manifest.record["step_counts"] = {"total_steps": total_steps}
+    manifest.record["step_counts"] = {"total_steps": total_steps,
+                                      "calibration_steps": calibration_steps}
+    manifest.record["chain_workers"] = sweep.workers
     manifest.record["proposal_scales"] = scales
 
 

@@ -54,6 +54,19 @@ class LabelledDataset:
         return self.features.shape[0]
 
     @property
+    def features_t(self) -> np.ndarray:
+        """Contiguous feature-major copy (p × n) of ``features``, built on first use.
+
+        The copy is rebuilt whenever ``features`` has been replaced, so it
+        cannot go stale.  Chain threads that race here build equal copies.
+        """
+        cached = getattr(self, "_features_t", None)
+        if cached is None or cached[0] is not self.features:
+            cached = (self.features, np.ascontiguousarray(self.features.T, dtype=float))
+            self._features_t = cached
+        return cached[1]
+
+    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 

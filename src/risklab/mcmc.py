@@ -11,6 +11,11 @@ Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
 run sequentially or in a thread pool, and adding chains never changes the
 draws of existing ones.
+
+Chains share a thread pool only when the acceptance data is large enough
+for the risk to release the GIL for most of each call (see
+``POOL_MIN_FEATURE_VALUES``); smaller risks are Python-bound, and threads
+would only contend for the interpreter.
 """
 
 from __future__ import annotations
@@ -43,6 +48,12 @@ __all__ = [
     "worker_count",
 ]
 
+# 2**18 float64 values are 2 MiB, one core's L2 on the 2-core reference box.
+# Smaller risks spend most of each call holding the GIL: 2-chain sphere-linear
+# sweeps over 1000 x 100 acceptance values took 0.19 s in one thread and
+# 0.21 s in two, over 2600 x 100 values 0.53 s and 0.29 s.
+POOL_MIN_FEATURE_VALUES = 2**18
+
 
 def worker_count() -> int:
     """Worker cap for concurrent chains: RISKLAB_THREADS or the machine's count."""
@@ -59,7 +70,10 @@ class ChainConfig:
     ``beta`` is the inverse temperature; chains run in annealed mode read it
     as the sample count m instead.  ``acceptance_data`` is the dataset behind
     the acceptance risk; ``minibatch_proposal_step`` takes its size when not
-    given ``n_examples``.  The risk callables are built by the caller.
+    given ``n_examples``, and ``boltzmann_sweep`` pools its chains only when
+    it holds at least ``POOL_MIN_FEATURE_VALUES`` feature values (None, as
+    for a closed-form risk, keeps them in one thread).  The risk callables
+    are built by the caller.
     """
 
     beta: float
@@ -143,12 +157,14 @@ class ChainResult:
     proposal_scale: float
     seed_path: tuple
     final_state: ChainState
+    calibration_steps: int  # probe steps before burn-in, not in ``steps``
 
 
 @dataclass
 class SweepResult:
     curve: BoltzmannCurve
     runs: list  # runs[chain][beta_index] -> ChainResult
+    workers: int  # threads the chains ran on
 
 
 def propose(w: WeightVector, scale: float, rng) -> WeightVector:
@@ -379,6 +395,7 @@ def run_chain(
     if calibrate:
         scale = _calibrate_scale(state, config, step_once, rng)
     cfg = replace(config, proposal_scale=scale)
+    calibration_steps = state.steps_taken
     state.steps_taken = 0
     state.accepts = 0
 
@@ -414,7 +431,15 @@ def run_chain(
         proposal_scale=scale,
         seed_path=tuple(seed_path),
         final_state=state,
+        calibration_steps=calibration_steps,
     )
+
+
+def _chain_workers(acceptance_data, n_chains: int) -> int:
+    """Threads for the chains: the pool only pays where the risk releases the GIL."""
+    if acceptance_data is None or acceptance_data.features.size < POOL_MIN_FEATURE_VALUES:
+        return 1
+    return min(worker_count(), n_chains)
 
 
 def boltzmann_sweep(
@@ -434,8 +459,11 @@ def boltzmann_sweep(
 
     Warm starting reuses each beta's final state as the next beta's initial
     state (a cheap annealing schedule); cold starts exist for equilibration
-    cross-checks.  Chains are independent lanes with their own seed paths
-    and may run in a thread pool without changing any result.
+    cross-checks.  Chains are independent lanes with their own seed paths,
+    so where they run never changes any result.  They share a thread pool of
+    up to ``worker_count()`` threads only when ``base_config.acceptance_data``
+    holds at least ``POOL_MIN_FEATURE_VALUES`` feature values; otherwise
+    they run one after another in the calling thread.
     """
     beta_grid = [float(b) for b in beta_grid]
     if any(b2 <= b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
@@ -463,9 +491,8 @@ def boltzmann_sweep(
                 warm = res.final_state.w
         return results
 
-    # threads pay off only where the risk releases the GIL (large numpy
-    # kernels); one worker stays in this thread so Ctrl-C stops it at once
-    workers = min(worker_count(), n_chains)
+    # one worker stays in this thread so Ctrl-C stops it at once
+    workers = _chain_workers(base_config.acceptance_data, n_chains)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             lanes = list(pool.map(run_lane, range(n_chains)))
@@ -481,4 +508,4 @@ def boltzmann_sweep(
         ess = float(sum(r.ess for r in runs))
         points.append(BoltzmannPoint(beta=beta, risk=mean, stderr=stderr,
                                      acceptance_rate=rate, ess=ess))
-    return SweepResult(curve=BoltzmannCurve(tuple(points)), runs=lanes)
+    return SweepResult(curve=BoltzmannCurve(tuple(points)), runs=lanes, workers=workers)

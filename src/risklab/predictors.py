@@ -2,9 +2,16 @@
 
 Two machine kinds: a unit-norm linear separator through the origin
 (``sphere_linear``, two classes, prediction [wᵀx > 0]) and a fully connected
-rectifier network (``mlp``, argmax over final-layer scores).  Weights live
-in a single flat vector so that proposal moves, serialisation, and risk
-evaluation never need to know the architecture.
+rectifier network (``mlp``).  Weights live in a single flat vector so that
+proposal moves, serialisation, and risk evaluation never need to know the
+architecture.
+
+The mlp forward pass runs on feature-major input Xᵀ (p × n), adding biases
+and rectifying in place.  With two classes it predicts class 1 where the
+score margin (W₁ − W₀)·h > b₀ − b₁ and class 0 otherwise, so ties go to
+class 0; with more classes it takes the argmax of the scores, whose ties go
+to the lowest index.  ``predict_batch`` and ``empirical_risk`` share that one
+kernel, so a teacher's own labels score a risk of exactly zero.
 """
 
 from __future__ import annotations
@@ -121,6 +128,21 @@ def _mlp_layers(spec: PredictorSpec, w: WeightVector):
         fan_in = fan_out
 
 
+def _mlp_classes(spec: PredictorSpec, w: WeightVector, XT: np.ndarray) -> np.ndarray:
+    """Class per column of the feature-major batch XT (bool for two classes)."""
+    *hidden, (W, b) = _mlp_layers(spec, w)
+    h = XT
+    for W_h, b_h in hidden:
+        h = W_h @ h
+        h += b_h[:, None]
+        np.maximum(h, 0.0, out=h)
+    if W.shape[0] == 2:
+        return (W[1] - W[0]) @ h > b[0] - b[1]
+    scores = W @ h
+    scores += b[:, None]
+    return np.argmax(scores, axis=0)
+
+
 def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.ndarray:
     """Class indices for a batch of feature rows."""
     X = np.asarray(X, dtype=float)
@@ -129,14 +151,7 @@ def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.nda
     _check_weights(spec, w)
     if spec.kind == SPHERE_LINEAR:
         return (X @ w.values > 0.0).astype(np.int64)
-    h = X
-    layers = list(_mlp_layers(spec, w))
-    for W, b in layers[:-1]:
-        h = np.maximum(h @ W.T + b, 0.0)
-    W, b = layers[-1]
-    scores = h @ W.T + b
-    # np.argmax returns the lowest index on ties, which is the tie-break rule
-    return np.argmax(scores, axis=1).astype(np.int64)
+    return _mlp_classes(spec, w, np.ascontiguousarray(X.T)).astype(np.int64)
 
 
 def predict(spec: PredictorSpec, w: WeightVector, x: np.ndarray) -> int:
@@ -148,18 +163,28 @@ def predict(spec: PredictorSpec, w: WeightVector, x: np.ndarray) -> int:
 
 
 def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> float:
-    """Fraction of misclassified examples, an exact k/n in floating point."""
-    features, labels = data.features, data.labels
+    """Fraction of misclassified examples, an exact k/n in floating point.
+
+    mlp risks run on the dataset's cached feature-major copy ``features_t``.
+    """
+    labels = data.labels
     if subset is not None:
         subset = np.asarray(subset, dtype=np.intp)
         if subset.size == 0:
             raise DomainError("empty evaluation set")
-        features = features[subset]
         labels = labels[subset]
     if len(labels) == 0:
         raise DomainError("empty evaluation set")
-    wrong = int(np.count_nonzero(predict_batch(spec, w, features) != labels))
-    return wrong / len(labels)
+    if spec.kind == SPHERE_LINEAR:
+        features = data.features if subset is None else data.features[subset]
+        predicted = predict_batch(spec, w, features)
+    else:
+        XT = data.features_t if subset is None else data.features_t[:, subset]
+        if XT.shape[0] != spec.input_dim:
+            raise DomainError(f"features have shape {XT.T.shape}, spec needs (n, {spec.input_dim})")
+        _check_weights(spec, w)
+        predicted = _mlp_classes(spec, w, XT)
+    return int(np.count_nonzero(predicted != labels)) / len(labels)
 
 
 def random_weights(spec: PredictorSpec, scale: float, seed) -> WeightVector:

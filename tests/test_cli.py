@@ -111,6 +111,44 @@ class TestLoadConfig:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("record, flags", [
+        ({"p": "50", "delta": 1, "m_grid": [2]}, ["--p", "50", "--delta", "1", "--m-grid", "2"]),
+        ({"p": 50, "delta": "1.0", "m_grid": "1,2"}, ["--p", "50", "--delta", "1", "--m-grid", "1,2"]),
+    ])
+    def test_values_converted_like_flags(self, tmp_path, record, flags):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(record))
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert dispatch(["analytic", "hebbian", "--config", str(cfg), "--out", str(from_file)]) == 0
+        assert dispatch(["analytic", "hebbian", *flags, "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    @pytest.mark.parametrize("record, key", [
+        ({"p": "fifty"}, "p"),
+        ({"p": 50.5}, "p"),
+        ({"delta": True}, "delta"),
+        ({"delta": [1.0]}, "delta"),
+        ({"m_grid": ["x"]}, "m_grid"),
+        ({"m_grid": [[1]]}, "m_grid"),
+        ({"m_grid": {"a": 1}}, "m_grid"),
+    ])
+    def test_mistyped_value_exits_one_naming_key(self, tmp_path, capsys, record, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p": 50, "delta": 1, "m_grid": [2], **record}))
+        out = tmp_path / "h.csv"
+        assert dispatch(["analytic", "hebbian", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_value_must_be_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"calibrate": "yes"}))
+        code = dispatch(["sample", "boltzmann-sweep", "--config", str(cfg), "--machine",
+                         "perceptron-exact", "--p", "5", "--delta", "1", "--beta-grid", "0",
+                         "--seed", "1", "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "'calibrate'" in capsys.readouterr().err
+
     def test_malformed_json_exits_one(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
@@ -200,6 +238,23 @@ class TestSamplingCommands:
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         listed = {o["path"] for o in manifest["outputs"]}
         assert str(out) in listed and all(str(f) in listed for f in chain_files)
+        # a closed-form risk keeps its chains in one thread; no --calibrate, no probes
+        assert manifest["chain_workers"] == 1
+        assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40), "calibration_steps": 0}
+
+    def test_manifest_counts_calibration_probes(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        code = dispatch(["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
+                         "--p", "10", "--delta", "2", "--beta-grid", "0,5",
+                         "--chains", "2", "--burn-in", "50", "--samples", "40",
+                         "--thin", "1", "--proposal-scale", "0.4", "--calibrate",
+                         "--seed", "21", "--out", str(out)])
+        assert code == 0
+        counts = json.loads((tmp_path / "curve.csv.manifest.json").read_text())["step_counts"]
+        assert counts["total_steps"] == 2 * 2 * (50 + 40)  # burn-in + samples, no probes
+        # each of the 4 chains probes 100 steps per round, 1 to 25 rounds
+        calibration = counts["calibration_steps"]
+        assert calibration % 100 == 0 and 4 * 100 <= calibration <= 4 * 25 * 100
 
     def test_sweep_rerun_identical(self, tmp_path):
         args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact",

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from risklab import (
     annealed_step,
     boltzmann_risk_exact,
     boltzmann_sweep,
+    empirical_risk,
     gen_gaussian_pair,
     metropolis_step,
     minibatch_proposal_step,
@@ -421,6 +423,35 @@ class TestBoltzmannSweep:
         assert sequential.curve == pooled.curve
         for lane_a, lane_b in zip(sequential.runs, pooled.runs):
             assert all(same_chain(a, b) for a, b in zip(lane_a, lane_b))
+
+    def test_large_acceptance_data_pools_chains(self, monkeypatch):
+        # 2622 x 100 = 262,200 feature values, just over POOL_MIN_FEATURE_VALUES
+        big = gen_gaussian_pair(GaussianClassSpec(100, 1.0), 2622, seed=54)
+        small = big.subset(np.arange(2621))  # 262,100 values, just under
+        spec = PredictorSpec(kind="sphere_linear", input_dim=100)
+        threads = set()
+
+        def sweep(data):
+            def risk(w):
+                threads.add(threading.get_ident())
+                return empirical_risk(spec, w, data)
+
+            threads.clear()
+            cfg = ChainConfig(beta=0.0, proposal_scale=0.2, burn_in=100, samples=50,
+                              thin=1, seed=54, acceptance_data=data)
+            return boltzmann_sweep([0.0, 5.0], cfg, spec, risk, n_chains=2), set(threads)
+
+        monkeypatch.setenv("RISKLAB_THREADS", "1")
+        sequential, sequential_threads = sweep(big)
+        monkeypatch.setenv("RISKLAB_THREADS", "2")
+        pooled, pooled_threads = sweep(big)
+        assert sequential.curve == pooled.curve
+        for lane_a, lane_b in zip(sequential.runs, pooled.runs):
+            assert all(same_chain(a, b) for a, b in zip(lane_a, lane_b))
+        assert (sequential.workers, pooled.workers) == (1, 2)
+        assert len(sequential_threads) == 1 and len(pooled_threads) == 2
+        below, below_threads = sweep(small)
+        assert below.workers == 1 and below_threads == {threading.get_ident()}
 
     def test_adding_chains_keeps_existing_lanes(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=200, samples=100,

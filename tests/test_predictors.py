@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from risklab import (
@@ -133,6 +135,64 @@ class TestEmpiricalRisk:
         theta = math.acos(float(np.clip(w.values @ gauss.t, -1, 1)))
         expected = perceptron_risk(theta, 2.0)
         assert abs(empirical_risk(spec, w, data) - expected) <= 3 / math.sqrt(n)
+
+
+def reference_scores(spec, w, X):
+    """Row-major forward pass, written independently of the fused kernel."""
+    h, pos, fan_in = X, 0, spec.input_dim
+    for i, fan_out in enumerate(spec.layer_sizes):
+        W = w.values[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)
+        b = w.values[pos + fan_in * fan_out : pos + (fan_in + 1) * fan_out]
+        pos += (fan_in + 1) * fan_out
+        h = h @ W.T + b
+        if i < len(spec.layer_sizes) - 1:
+            h = np.maximum(h, 0.0)
+        fan_in = fan_out
+    return h
+
+
+class TestFusedMlpKernel:
+    @pytest.mark.parametrize("layer_sizes", [(4, 2), (4, 3), (5, 3, 2)])
+    def test_tied_outputs_predict_class_zero(self, layer_sizes):
+        # every output row and bias equal: all scores tie on every input
+        spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=layer_sizes)
+        w = random_weights(spec, 1.0, seed=11)
+        classes, fan_in = layer_sizes[-1], layer_sizes[-2]
+        last = w.values[-(fan_in + 1) * classes :]
+        last[: fan_in * classes] = np.tile(last[:fan_in], classes)
+        last[fan_in * classes :] = 0.3
+        X = np.random.default_rng(12).standard_normal((50, 3))
+        assert (predict_batch(spec, w, X) == 0).all()
+        data = LabelledDataset(X, np.zeros(50, dtype=int), class_count=classes)
+        assert empirical_risk(spec, w, data) == 0.0
+        data.labels[:] = 1
+        assert empirical_risk(spec, w, data) == 1.0
+
+    @given(seed=st.integers(0, 2**32 - 1), classes=st.sampled_from([2, 3]),
+           hidden=st.integers(1, 9), p=st.integers(1, 6), n=st.integers(1, 60))
+    def test_matches_row_major_argmax(self, seed, classes, hidden, p, n):
+        rng = np.random.default_rng(seed)
+        spec = PredictorSpec(kind="mlp", input_dim=p, layer_sizes=(hidden, classes))
+        w = random_weights(spec, 1.0, rng)
+        X = rng.standard_normal((n, p))
+        scores = reference_scores(spec, w, X)
+        top2 = np.sort(scores, axis=1)[:, -2:]
+        clear = np.flatnonzero(top2[:, 1] - top2[:, 0] > 1e-9)
+        expected = np.argmax(scores, axis=1)
+        assert (predict_batch(spec, w, X)[clear] == expected[clear]).all()
+        data = LabelledDataset(X, expected, class_count=classes)
+        if clear.size:
+            assert empirical_risk(spec, w, data, subset=clear) == 0.0
+
+    def test_replaced_features_change_the_risk(self):
+        spec = PredictorSpec(kind="mlp", input_dim=4, layer_sizes=(6, 2))
+        w = random_weights(spec, 1.0, seed=13)
+        X = np.random.default_rng(14).standard_normal((300, 4))
+        data = LabelledDataset(X, predict_batch(spec, w, X), class_count=2)
+        assert empirical_risk(spec, w, data) == 0.0  # builds the feature-major copy
+        data.features = -X
+        flipped = LabelledDataset(-X, data.labels, class_count=2)
+        assert empirical_risk(spec, w, data) == empirical_risk(spec, w, flipped) > 0.0
 
 
 class TestRandomWeights:
