@@ -327,9 +327,6 @@ def _run_sweep(params, manifest, mode, grid_column):
         calibrate=bool(params["calibrate"]),
         init_scale=params["init_scale"],
         mode=mode,
-        # chains always walk a compact weight space; for the mlp that means the
-        # unit sphere, since the flat measure on all of R^n is improper at beta=0
-        sphere_weights=params["machine"] == "mlp",
     )
     out = params["out"]
     write_csv(
@@ -341,7 +338,7 @@ def _run_sweep(params, manifest, mode, grid_column):
     chains_dir = f"{out}.chains"
     os.makedirs(chains_dir, exist_ok=True)
     total_steps = calibration_steps = 0
-    scales = []
+    scales, converged = [], []
     for lane, results in enumerate(sweep.runs):
         for bi, res in enumerate(results):
             path = os.path.join(chains_dir, f"chain{lane:02d}_point{bi:02d}.csv")
@@ -351,10 +348,12 @@ def _run_sweep(params, manifest, mode, grid_column):
             total_steps += int(res.steps[-1])
             calibration_steps += res.calibration_steps
             scales.append(res.proposal_scale)
+            converged.append(res.calibration_converged)
     manifest.record["step_counts"] = {"total_steps": total_steps,
                                       "calibration_steps": calibration_steps}
     manifest.record["chain_workers"] = sweep.workers
     manifest.record["proposal_scales"] = scales
+    manifest.record["calibration_converged"] = converged
 
 
 # ---------------------------------------------------------------------------

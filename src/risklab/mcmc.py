@@ -2,15 +2,22 @@
 
 Chains target either the Boltzmann weight e^{−β·R(w)} (``metropolis_step``)
 or the annealed posterior (1 − R(w))^m (``annealed_step``), with a compound
-minibatch proposal available for expensive risks.  Acceptance always uses
+minibatch proposal available for expensive risks.  Every move is one
+propose → risk → finite check → accept → count step; only its acceptance
+rule, Boltzmann or annealed, depends on the target.  Acceptance always uses
 the acceptance risk callable while the recorded "report" risk may come from
 a second callable over held-out data, so the number being reported is not
 the number the chain optimises.
 
+A chain given no start walks the unit sphere, whatever the machine's weight
+constraint: an unbounded space has no flat reference measure, so a β = 0
+chain would diffuse instead of equilibrating.
+
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
 run sequentially or in a thread pool, and adding chains never changes the
-draws of existing ones.
+draws of existing ones.  A rule draws a uniform only for an uphill move it
+cannot decide without one; moving that draw would shift every later step.
 
 Chains share a thread pool only when the acceptance data is large enough
 for the risk to release the GIL for most of each call (see
@@ -68,12 +75,12 @@ class ChainConfig:
     """Sampler settings for one chain.
 
     ``beta`` is the inverse temperature; chains run in annealed mode read it
-    as the sample count m instead.  ``acceptance_data`` is the dataset behind
-    the acceptance risk; ``minibatch_proposal_step`` takes its size when not
-    given ``n_examples``, and ``boltzmann_sweep`` pools its chains only when
-    it holds at least ``POOL_MIN_FEATURE_VALUES`` feature values (None, as
-    for a closed-form risk, keeps them in one thread).  The risk callables
-    are built by the caller.
+    as the whole sample count m instead.  ``acceptance_data`` is the dataset
+    behind the acceptance risk; ``minibatch_proposal_step`` takes its size
+    when not given ``n_examples``, and ``boltzmann_sweep`` pools its chains
+    only when it holds at least ``POOL_MIN_FEATURE_VALUES`` feature values
+    (None, as for a closed-form risk, keeps them in one thread).  The risk
+    callables are built by the caller.
     """
 
     beta: float
@@ -85,10 +92,10 @@ class ChainConfig:
     acceptance_data: object = None
 
     def __post_init__(self):
-        if self.beta < 0:
+        if not self.beta >= 0:  # NaN fails every comparison
             raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.proposal_scale <= 0:
-            raise DomainError(f"proposal_scale must be > 0, got {self.proposal_scale}")
+        if not 0 < self.proposal_scale < math.inf:
+            raise DomainError(f"proposal_scale must be finite and > 0, got {self.proposal_scale}")
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.thin < 1:
@@ -158,6 +165,7 @@ class ChainResult:
     seed_path: tuple
     final_state: ChainState
     calibration_steps: int  # probe steps before burn-in, not in ``steps``
+    calibration_converged: bool | None  # None: run without calibration
 
 
 @dataclass
@@ -214,49 +222,48 @@ def sample_without_replacement(rng, n: int, k: int) -> np.ndarray:
     return out
 
 
-def metropolis_step(state: ChainState, config: ChainConfig, risk_fn, rng) -> ChainState:
-    """One Boltzmann step: accept if R(w') < R(w), else with prob. e^{−β(R(w')−R(w))}."""
-    w_new = propose(state.w, config.proposal_scale, rng)
+def _boltzmann(r_new: float, r_old: float, beta: float, rng) -> bool:
+    """Boltzmann test: downhill always, uphill on a coin below e^{−β(R'−R)}, even at β = 0."""
+    return r_new <= r_old or rng.random() < math.exp(-beta * (r_new - r_old))
+
+
+def _annealed(r_new: float, r_old: float, m: int, rng) -> bool:
+    """Annealed test: min(1, ((1 − R')/(1 − R))^m), in log space so large m cannot underflow.
+
+    A state with R = 1 carries zero weight for m > 0, so a move into one is
+    refused outright; a move out of one is downhill.  No coin is drawn for
+    m = 0, for a move into R = 1, or where the log-ratio rounds to >= 0.
+    """
+    if m == 0 or r_new <= r_old:
+        return True
+    if r_new >= 1.0:
+        return False
+    log_ratio = m * (math.log1p(-r_new) - math.log1p(-r_old))
+    return log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
+
+
+def _step(state: ChainState, scale: float, risk_fn, rng, accept, param) -> ChainState:
+    """The one Metropolis move: propose, risk, finite check, ``accept`` rule, commit, count."""
+    w_new = propose(state.w, scale, rng)
     r_new = risk_fn(w_new)
     if not math.isfinite(r_new):
         _check_finite(r_new, state)
-    r_old = state.current_acceptance_risk
-    if r_new <= r_old or rng.random() < math.exp(-config.beta * (r_new - r_old)):
+    if accept(r_new, state.current_acceptance_risk, param, rng):
         state.w = w_new
         state.current_acceptance_risk = r_new
         state.accepts += 1
     state.steps_taken += 1
     return state
+
+
+def metropolis_step(state: ChainState, config: ChainConfig, risk_fn, rng) -> ChainState:
+    """One Boltzmann step: accept if R(w') <= R(w), else with prob. e^{−β(R(w')−R(w))}."""
+    return _step(state, config.proposal_scale, risk_fn, rng, _boltzmann, config.beta)
 
 
 def annealed_step(state: ChainState, m: int, config: ChainConfig, risk_fn, rng) -> ChainState:
-    """One annealed step targeting (1−R)^m: accept with min(1, ((1−R')/(1−R))^m).
-
-    Computed in log space so large m cannot underflow.  A state with R = 1
-    carries zero weight for m > 0: moves into it are rejected outright and
-    moves out of it always accepted.
-    """
-    w_new = propose(state.w, config.proposal_scale, rng)
-    r_new = risk_fn(w_new)
-    if not math.isfinite(r_new):
-        _check_finite(r_new, state)
-    r_old = state.current_acceptance_risk
-    accept = False
-    if m == 0 or r_new <= r_old:
-        accept = True
-    elif r_new >= 1.0:
-        accept = False
-    elif r_old >= 1.0:
-        accept = True
-    else:
-        log_ratio = m * (math.log1p(-r_new) - math.log1p(-r_old))
-        accept = log_ratio >= 0.0 or rng.random() < math.exp(log_ratio)
-    if accept:
-        state.w = w_new
-        state.current_acceptance_risk = r_new
-        state.accepts += 1
-    state.steps_taken += 1
-    return state
+    """One annealed step targeting (1−R)^m: accept with min(1, ((1−R')/(1−R))^m)."""
+    return _step(state, config.proposal_scale, risk_fn, rng, _annealed, m)
 
 
 def minibatch_proposal_step(
@@ -286,30 +293,21 @@ def minibatch_proposal_step(
     if batch_size > n_examples:
         raise DomainError(f"batch_size {batch_size} exceeds dataset size {n_examples}")
     beta = config.beta
-    w_cur = state.w
-    r_approx = state.current_acceptance_risk
-    moved = False
-    scale = config.proposal_scale
+    inner = ChainState(state.w, state.current_acceptance_risk)
     for _ in range(n_inner):
         batch = sample_without_replacement(rng, n_examples, batch_size)
-        w_prop = propose(w_cur, scale, rng)
-        r_prop = minibatch_risk_fn(w_prop, batch)
-        if not math.isfinite(r_prop):
-            _check_finite(r_prop, state)
-        if r_prop <= r_approx or rng.random() < math.exp(-beta * (r_prop - r_approx)):
-            w_cur = w_prop
-            r_approx = r_prop
-            moved = True
+        _step(inner, config.proposal_scale, lambda w: minibatch_risk_fn(w, batch), rng,
+              _boltzmann, beta)
     state.steps_taken += 1
-    if not moved:
+    if not inner.accepts:
         # identity proposal: outer test compares the entry risk with itself
         state.accepts += 1
         return state
-    r_full = full_risk_fn(w_cur)
+    r_full = full_risk_fn(inner.w)
     if not math.isfinite(r_full):
         _check_finite(r_full, state)
-    if r_full <= r_approx or rng.random() < math.exp(-beta * (r_full - r_approx)):
-        state.w = w_cur
+    if _boltzmann(r_full, inner.current_acceptance_risk, beta, rng):
+        state.w = inner.w
         state.current_acceptance_risk = r_full
         state.accepts += 1
     return state
@@ -333,22 +331,39 @@ def _batch_means(values: np.ndarray) -> tuple[float, float]:
     return float(stderr), float(min(ess, n))
 
 
-def _calibrate_scale(state, config, step_once, rng, target=(0.2, 0.4), rounds=25, probe=100):
-    """Pre-burn-in scale search aiming for an acceptance rate inside ``target``."""
+def _calibrate_scale(state, config, advance, target=(0.2, 0.4), rounds=25, probe=100):
+    """Pre-burn-in scale search aiming for an acceptance rate inside ``target``.
+
+    Returns (scale, True) once a probe's rate lands in ``target``, else the
+    last scale and False when the rounds run out.
+    """
     scale = config.proposal_scale
     for _ in range(rounds):
-        cfg = replace(config, proposal_scale=scale)
-        before_steps, before_acc = state.steps_taken, state.accepts
-        for _ in range(probe):
-            step_once(state, cfg, rng)
-        rate = (state.accepts - before_acc) / (state.steps_taken - before_steps)
+        before = state.accepts
+        advance(replace(config, proposal_scale=scale), probe)
+        rate = (state.accepts - before) / probe
         if rate < target[0]:
             scale *= 0.7
         elif rate > target[1]:
             scale *= 1.4
         else:
-            return scale
-    return scale
+            return scale, True
+    return scale, False
+
+
+def _chain_step(mode: str, beta: float):
+    """(public step, its arguments ahead of the config) for a chain in ``mode``.
+
+    The step is read from the module when the chain starts, so a wrapper set
+    there beforehand sees every step of the chain, calibration probes included.
+    """
+    if mode == "boltzmann":
+        return metropolis_step, ()
+    if mode == "annealed":
+        if not float(beta).is_integer():
+            raise DomainError(f"annealed mode needs a whole sample count m, got {beta}")
+        return annealed_step, (int(beta),)
+    raise DomainError(f"unknown chain mode {mode!r}")
 
 
 def run_chain(
@@ -361,46 +376,38 @@ def run_chain(
     init_scale: float = 1.0,
     calibrate: bool = False,
     seed_path: tuple = (),
-    sphere_weights: bool = False,
 ) -> ChainResult:
     """Run one chain: burn-in, then ``samples`` records spaced ``thin`` steps apart.
 
     The report risk is evaluated only at record time.  In annealed mode the
-    config's beta field is read as the sample count m.  ``sphere_weights``
-    confines the walk to the unit sphere even for machines whose weights are
-    nominally unconstrained: an unbounded space has no flat reference
-    measure, so a beta = 0 chain would otherwise diffuse instead of
-    equilibrating.
+    config's beta field is read as the sample count m.  Without ``initial``
+    the chain starts from ``random_weights`` moved onto the unit sphere.
     """
     rng = stream(config.seed, *seed_path) if seed_path else as_generator(config.seed)
-    if mode == "boltzmann":
-        def step_once(st, cfg, gen):
-            return metropolis_step(st, cfg, risk_fn, gen)
-    elif mode == "annealed":
-        m = int(config.beta)
-        def step_once(st, cfg, gen):
-            return annealed_step(st, m, cfg, risk_fn, gen)
-    else:
-        raise DomainError(f"unknown chain mode {mode!r}")
+    step, lead = _chain_step(mode, config.beta)
 
     if initial is None:
         initial = random_weights(spec, init_scale, rng)
-        if sphere_weights and initial.constraint != UNIT_SPHERE:
+        if initial.constraint != UNIT_SPHERE:
             values = initial.values / np.linalg.norm(initial.values)
             initial = WeightVector(values, UNIT_SPHERE)
     state = ChainState(initial, risk_fn(initial))
     _check_finite(state.current_acceptance_risk, state)
 
-    scale = config.proposal_scale
+    def advance(cfg, n):
+        args = (state, *lead, cfg, risk_fn, rng)
+        for _ in range(n):
+            step(*args)
+
+    scale, converged = config.proposal_scale, None
     if calibrate:
-        scale = _calibrate_scale(state, config, step_once, rng)
+        scale, converged = _calibrate_scale(state, config, advance)
     cfg = replace(config, proposal_scale=scale)
     calibration_steps = state.steps_taken
     state.steps_taken = 0
     state.accepts = 0
 
-    for _ in range(cfg.burn_in):
-        step_once(state, cfg, rng)
+    advance(cfg, cfg.burn_in)
 
     steps = np.empty(cfg.samples, dtype=np.int64)
     risk_acc = np.empty(cfg.samples)
@@ -408,8 +415,7 @@ def run_chain(
     accepted = np.empty(cfg.samples, dtype=np.int64)
     for i in range(cfg.samples):
         before = state.accepts
-        for _ in range(cfg.thin):
-            step_once(state, cfg, rng)
+        advance(cfg, cfg.thin)
         steps[i] = state.steps_taken
         risk_acc[i] = state.current_acceptance_risk
         risk_rep[i] = (
@@ -432,6 +438,7 @@ def run_chain(
         seed_path=tuple(seed_path),
         final_state=state,
         calibration_steps=calibration_steps,
+        calibration_converged=converged,
     )
 
 
@@ -453,7 +460,6 @@ def boltzmann_sweep(
     calibrate: bool = False,
     init_scale: float = 1.0,
     mode: str = "boltzmann",
-    sphere_weights: bool = False,
 ) -> SweepResult:
     """One or more chains per beta, warm-started along the increasing grid.
 
@@ -463,19 +469,23 @@ def boltzmann_sweep(
     so where they run never changes any result.  They share a thread pool of
     up to ``worker_count()`` threads only when ``base_config.acceptance_data``
     holds at least ``POOL_MIN_FEATURE_VALUES`` feature values; otherwise
-    they run one after another in the calling thread.
+    they run one after another in the calling thread.  Every grid point's
+    settings are checked before any chain runs.
     """
     beta_grid = [float(b) for b in beta_grid]
-    if any(b2 <= b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):
+    if any(not b2 > b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):  # refuses NaN too
         raise DomainError(f"beta grid must be strictly increasing, got {beta_grid}")
     if n_chains < 1:
         raise DomainError(f"n_chains must be >= 1, got {n_chains}")
+    configs = [replace(base_config, beta=beta) for beta in beta_grid]
+    for beta in beta_grid:
+        _chain_step(mode, beta)
 
     def run_lane(lane):
         results, warm = [], None
-        for bi, beta in enumerate(beta_grid):
+        for bi, cfg in enumerate(configs):
             res = run_chain(
-                replace(base_config, beta=beta),
+                cfg,
                 spec,
                 risk_fn,
                 report_risk_fn=report_risk_fn,
@@ -484,7 +494,6 @@ def boltzmann_sweep(
                 init_scale=init_scale,
                 calibrate=calibrate,
                 seed_path=(lane, bi),
-                sphere_weights=sphere_weights,
             )
             results.append(res)
             if warm_start:

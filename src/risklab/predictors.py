@@ -90,6 +90,8 @@ class WeightVector:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1:
             raise DomainError("weight values must be a flat vector")
+        if not np.isfinite(self.values).all():
+            raise DomainError("weight values must be finite")
         if self.constraint == UNIT_SPHERE and abs(np.linalg.norm(self.values) - 1.0) > 1e-10:
             raise DomainError("unit_sphere weights must have norm 1 within 1e-10")
         return self
@@ -193,8 +195,8 @@ def random_weights(spec: PredictorSpec, scale: float, seed) -> WeightVector:
     sphere_linear vectors are renormalised to the unit sphere, so there the
     scale only fixes the (irrelevant) pre-normalisation magnitude.
     """
-    if scale <= 0:
-        raise DomainError(f"scale must be > 0, got {scale}")
+    if not 0 < scale < np.inf:
+        raise DomainError(f"scale must be finite and > 0, got {scale}")
     rng = as_generator(seed)
     values = rng.normal(0.0, scale, size=weight_count(spec))
     if spec.kind == SPHERE_LINEAR:

@@ -256,6 +256,49 @@ class TestSamplingCommands:
         calibration = counts["calibration_steps"]
         assert calibration % 100 == 0 and 4 * 100 <= calibration <= 4 * 25 * 100
 
+    def test_manifest_records_calibration_outcome(self, tmp_path):
+        args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
+                "--p", "10", "--delta", "2", "--beta-grid", "0,5", "--chains", "2",
+                "--burn-in", "20", "--samples", "10", "--proposal-scale", "0.4", "--seed", "21"]
+
+        def manifest(extra, name):
+            out = tmp_path / name
+            assert dispatch(args + extra + ["--out", str(out)]) == 0
+            return json.loads((tmp_path / f"{name}.manifest.json").read_text())
+
+        assert manifest([], "plain.csv")["calibration_converged"] == [None] * 4
+        record = manifest(["--calibrate"], "calibrated.csv")
+        converged, scales = record["calibration_converged"], record["proposal_scales"]
+        assert len(converged) == len(scales) == 4
+        assert all(isinstance(c, bool) for c in converged)
+        # lanes are chain-major: beta = 0 accepts every move, so its band is out of reach
+        assert converged[0] is converged[2] is False
+        assert scales[0] == scales[2] == pytest.approx(0.4 * 1.4**25)
+
+    @pytest.mark.parametrize("flags", [["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"],
+                                       ["--machine", "mlp", "--beta-grid", "0,3",
+                                        "--layer-sizes", "3,2", "--init-scale", "nan"]])
+    def test_non_finite_chain_parameter_exits_two(self, tmp_path, flags):
+        data_csv = tmp_path / "d.csv"
+        assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
+                         "--seed", "7", "--out", str(data_csv)]) == 0
+        out = tmp_path / "x.csv"
+        code = dispatch(["sample", "boltzmann-sweep", "--p", "5", "--delta", "2",
+                         "--data", str(data_csv), "--burn-in", "50", "--samples", "20",
+                         "--seed", "1", "--out", str(out)] + flags)
+        assert code == 2
+        assert not out.exists()
+
+    def test_non_finite_teacher_file_exits_two(self, tmp_path):
+        data_csv, teacher = tmp_path / "d.csv", tmp_path / "t.bin"
+        assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
+                         "--seed", "7", "--out", str(data_csv)]) == 0
+        teacher.write_bytes(struct.pack("<Q", 5) + struct.pack("<5d", *[float("nan")] * 5))
+        out = tmp_path / "r.csv"
+        assert dispatch(["data", "relabel", "--data", str(data_csv), "--kind", "sphere-linear",
+                         "--teacher-weights", str(teacher), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_sweep_rerun_identical(self, tmp_path):
         args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
                 "--p", "8", "--delta", "1", "--beta-grid", "0,3", "--chains", "2",

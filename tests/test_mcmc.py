@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
+import risklab.mcmc as mcmc
 from risklab import (
     ChainConfig,
     ChainState,
@@ -164,6 +165,14 @@ class TestMetropolisStep:
         assert state.current_acceptance_risk == LEVELS[0]
         assert state.accepts == 0
 
+    def test_zero_beta_uphill_still_draws_one_coin(self):
+        # replayed chains depend on this draw although e^0 = 1 always accepts
+        state = toy_state(start=0.5)  # risk 0.1
+        stub = StubRng(steps=[1.0], uniforms=[0.999])  # into the 0.35 cell
+        metropolis_step(state, config(beta=0.0), toy_risk, stub)
+        assert state.current_acceptance_risk == LEVELS[1]
+        assert stub.random_calls == 1
+
     def test_non_finite_risk_aborts(self):
         state = toy_state()
         with pytest.raises(ChainError):
@@ -209,6 +218,23 @@ class TestAnnealedStep:
         for _ in range(500):
             annealed_step(state, 0, cfg, toy_risk, rng)
         assert state.accepts == 500
+
+    def test_zero_samples_uphill_draws_no_coin(self):
+        state = toy_state(start=0.5)  # risk 0.1
+        stub = StubRng(steps=[1.0])  # into the 0.35 cell; no uniforms scripted
+        annealed_step(state, 0, config(), toy_risk, stub)
+        assert state.current_acceptance_risk == LEVELS[1]
+        assert stub.random_calls == 0
+        # m = 0 is the flat target: even a risk-1 state is accepted, coin-free
+        stub = StubRng(steps=[0.1])
+        annealed_step(state, 0, config(), lambda w: 1.0, stub)
+        assert state.current_acceptance_risk == 1.0
+        assert stub.random_calls == 0
+
+    def test_non_finite_risk_aborts(self):
+        state = toy_state()
+        with pytest.raises(ChainError):
+            annealed_step(state, 5, config(), lambda w: float("inf"), np.random.default_rng(0))
 
     def test_equal_risk_accepted(self):
         state = toy_state(start=0.2)
@@ -289,6 +315,25 @@ class TestMinibatchProposalStep:
         assert float(state.w.values[0]) == 0.5
         assert state.accepts == 1  # trivial outer acceptance of w_0
 
+    def test_non_finite_minibatch_risk_aborts(self):
+        state = toy_state()
+        with pytest.raises(ChainError):
+            minibatch_proposal_step(
+                state, config(), 2, 4, mb_full_risk, lambda w, batch: float("nan"),
+                np.random.default_rng(0), n_examples=12,
+            )
+
+    def test_non_finite_full_risk_aborts(self):
+        start = WeightVector(np.array([2.5]))
+        state = ChainState(start, mb_full_risk(start))
+        stub = StubRng(steps=[-2.0])  # inner move downhill on the full batch, no coin
+        with pytest.raises(ChainError):
+            minibatch_proposal_step(
+                state, config(beta=3.0), 1, 12, lambda w: float("nan"), mb_batch_risk, stub,
+                n_examples=12,
+            )
+        assert state.w is start and state.accepts == 0
+
     def test_toy_stationary_distribution(self):
         beta = 3.0
         rng = np.random.default_rng(8)
@@ -354,6 +399,49 @@ class TestRunChain:
         b = run_chain(cfg, PSPEC, exact_perceptron_risk)
         assert (a.risk_report == b.risk_report).all()
         assert (a.accepted == b.accepted).all()
+
+    @pytest.mark.parametrize("mode, step_name", [("boltzmann", "metropolis_step"),
+                                                  ("annealed", "annealed_step")])
+    def test_steps_only_through_public_step(self, monkeypatch, mode, step_name):
+        # the traced benchmark counts steps by wrapping these module attributes
+        calls = []
+        original = getattr(mcmc, step_name)
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(mcmc, step_name, counting)
+        cfg = ChainConfig(beta=5.0, proposal_scale=0.4, burn_in=30, samples=20, thin=3, seed=55)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode, calibrate=True)
+        assert res.calibration_steps > 0
+        assert len(calls) == res.calibration_steps + 30 + 20 * 3
+
+    def test_calibration_outcome_recorded(self):
+        def chain(beta, calibrate):
+            cfg = ChainConfig(beta=beta, proposal_scale=0.5, burn_in=10, samples=10,
+                              thin=1, seed=56)
+            return run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=calibrate)
+
+        # at beta = 0 every move is accepted, so the 0.2-0.4 band is out of reach
+        flat = chain(0.0, True)
+        assert flat.calibration_converged is False
+        assert flat.proposal_scale == pytest.approx(0.5 * 1.4**25)
+        assert chain(10.0, True).calibration_converged is True
+        assert chain(10.0, False).calibration_converged is None
+
+    def test_random_start_walks_unit_sphere(self):
+        spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(2, 2))
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.3, burn_in=20, samples=5, thin=1, seed=57)
+        state = run_chain(cfg, spec, lambda w: 0.5).final_state
+        assert state.accepts > 0
+        assert state.w.constraint == "unit_sphere"
+        assert abs(np.linalg.norm(state.w.values) - 1.0) <= 1e-12
+
+    def test_annealed_mode_needs_whole_m(self):
+        cfg = ChainConfig(beta=2.5, proposal_scale=0.4, burn_in=10, samples=10, thin=1, seed=58)
+        with pytest.raises(DomainError):
+            run_chain(cfg, PSPEC, exact_perceptron_risk, mode="annealed")
 
     def test_acceptance_rate_decreases_with_scale(self):
         rates = []
@@ -467,6 +555,33 @@ class TestBoltzmannSweep:
                           thin=1, seed=51)
         with pytest.raises(DomainError):
             boltzmann_sweep([0.0, 5.0, 5.0], cfg, PSPEC, exact_perceptron_risk)
+
+    @pytest.mark.parametrize("grid, mode", [([0.0, math.nan, 3.0], "boltzmann"),
+                                            ([math.nan], "boltzmann"),
+                                            ([1.0, 2.5], "annealed"),
+                                            ([0.0, 5.0], "tempered")])
+    def test_malformed_grid_refused_before_any_chain(self, grid, mode):
+        calls = []
+
+        def risk(w):
+            calls.append(1)
+            return exact_perceptron_risk(w)
+
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10,
+                          thin=1, seed=51)
+        with pytest.raises(DomainError):
+            boltzmann_sweep(grid, cfg, PSPEC, risk, n_chains=2, mode=mode)
+        assert not calls
+
+
+class TestChainConfigValidation:
+    @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", -1.0),
+                                              ("proposal_scale", math.nan),
+                                              ("proposal_scale", math.inf),
+                                              ("proposal_scale", 0.0)])
+    def test_malformed_value_refused(self, field, value):
+        with pytest.raises(DomainError):
+            config(**{field: value})
 
 
 class TestCurveValidation:

@@ -214,6 +214,11 @@ class TestRandomWeights:
         stderr = 0.7**2 * math.sqrt(2.0 / n)
         assert abs(var - 0.49) <= 3 * stderr
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_scale(self, scale):
+        with pytest.raises(DomainError):
+            random_weights(PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(2, 2)), scale, 7)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -237,6 +242,14 @@ class TestSerialization:
         with pytest.raises(DomainError):
             load_weight_vector(path)
 
+    @pytest.mark.parametrize("constraint", ["unconstrained", "unit_sphere"])
+    def test_non_finite_payload_rejected(self, tmp_path, constraint):
+        # a NaN norm would slip past the unit-sphere check
+        path = tmp_path / "w.bin"
+        save_weight_vector(WeightVector(np.array([math.nan, 0.0])), path)
+        with pytest.raises(DomainError):
+            load_weight_vector(path, constraint)
+
 
 class TestSpecValidation:
     def test_rejects_unknown_kind(self):
@@ -254,3 +267,8 @@ class TestSpecValidation:
     def test_unit_sphere_norm_enforced(self):
         with pytest.raises(DomainError):
             WeightVector(np.array([1.0, 1.0]), "unit_sphere").validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(DomainError):
+            WeightVector(np.array([1.0, bad])).validate()
