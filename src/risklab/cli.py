@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -236,7 +237,10 @@ def read_curve_csv(path) -> BoltzmannCurve:
     for row in rows:
         def col(name, default=0.0):
             return float(row[idx[name]]) if name in idx else default
-        points.append(BoltzmannPoint(beta=col("beta"), risk=col("risk"), stderr=col("stderr"),
+        beta = col("beta")
+        if not math.isfinite(beta):
+            raise ConfigError(f"{path}: beta must be finite, got {row[idx['beta']]}")
+        points.append(BoltzmannPoint(beta=beta, risk=col("risk"), stderr=col("stderr"),
                                      acceptance_rate=col("acceptance_rate"), ess=col("ess")))
     return BoltzmannCurve(tuple(points))
 
@@ -282,7 +286,7 @@ def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
 
 
 def _build_machine(params, manifest):
-    """(spec, acceptance risk, report risk, acceptance data or None) of ``--machine``."""
+    """(spec, acceptance risk, report risk) of ``--machine``."""
     machine = params["machine"]
     if machine == "perceptron-exact":
         if params["p"] is None or params["delta"] is None:
@@ -293,7 +297,7 @@ def _build_machine(params, manifest):
             # target direction is the first axis; risk depends only on the angle
             return float(ndtr(-delta * w.values[0]))
 
-        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn, None
+        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
     if params["data"] is None:
         raise UsageError(f"{machine} needs --data")
     data = dataset_from_csv(params["data"])
@@ -307,15 +311,14 @@ def _build_machine(params, manifest):
     def report_fn(w):
         return empirical_risk(spec, w, report_data)
 
-    return spec, risk_fn, report_fn, accept_data
+    return spec, risk_fn, report_fn
 
 
 def _run_sweep(params, manifest, mode, grid_column):
     """``sample`` commands: the curve goes to --out, each chain to <out>.chains/."""
-    spec, risk_fn, report_fn, accept_data = _build_machine(params, manifest)
+    spec, risk_fn, report_fn = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
-                       samples=params["samples"], thin=params["thin"], seed=params["seed"],
-                       acceptance_data=accept_data)
+                       samples=params["samples"], thin=params["thin"], seed=params["seed"])
     sweep = boltzmann_sweep(
         params[f"{grid_column}_grid"],
         base,
@@ -325,7 +328,6 @@ def _run_sweep(params, manifest, mode, grid_column):
         n_chains=params["chains"],
         warm_start=not params["cold_start"],
         calibrate=bool(params["calibrate"]),
-        init_scale=params["init_scale"],
         mode=mode,
     )
     out = params["out"]
@@ -337,23 +339,19 @@ def _run_sweep(params, manifest, mode, grid_column):
     manifest.add_output(out)
     chains_dir = f"{out}.chains"
     os.makedirs(chains_dir, exist_ok=True)
-    total_steps = calibration_steps = 0
-    scales, converged = [], []
     for lane, results in enumerate(sweep.runs):
         for bi, res in enumerate(results):
             path = os.path.join(chains_dir, f"chain{lane:02d}_point{bi:02d}.csv")
             write_csv(path, ["step", "risk_acc", "risk_rep", "accepted"],
                       zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
             manifest.add_output(path)
-            total_steps += int(res.steps[-1])
-            calibration_steps += res.calibration_steps
-            scales.append(res.proposal_scale)
-            converged.append(res.calibration_converged)
-    manifest.record["step_counts"] = {"total_steps": total_steps,
-                                      "calibration_steps": calibration_steps}
+    runs = [res for results in sweep.runs for res in results]
+    manifest.record["step_counts"] = {"total_steps": sum(int(r.steps[-1]) for r in runs),
+                                      "calibration_steps": sum(r.calibration_steps for r in runs)}
     manifest.record["chain_workers"] = sweep.workers
-    manifest.record["proposal_scales"] = scales
-    manifest.record["calibration_converged"] = converged
+    manifest.record["proposal_scales"] = [r.proposal_scale for r in runs]
+    manifest.record["calibration_converged"] = [r.calibration_converged for r in runs]
+    manifest.record["chain_phase_s"] = [r.phase_s for r in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,6 @@ _MACHINE_OPTS = [
     Opt("--seed", int, required=True),
     Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
     Opt("--cold-start", is_flag=True, help="fresh random start per grid point"),
-    Opt("--init-scale", float, default=1.0, help="std of the random initial weights"),
     _OUT,
 ]
 

@@ -15,21 +15,24 @@ chain would diffuse instead of equilibrating.
 
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
-run sequentially or in a thread pool, and adding chains never changes the
-draws of existing ones.  A rule draws a uniform only for an uphill move it
-cannot decide without one; moving that draw would shift every later step.
+run one after another or in worker processes, and adding chains never
+changes the draws of existing ones.  A rule draws a uniform only for an
+uphill move it cannot decide without one; moving that draw would shift
+every later step.
 
-Chains share a thread pool only when the acceptance data is large enough
-for the risk to release the GIL for most of each call (see
-``POOL_MIN_FEATURE_VALUES``); smaller risks are Python-bound, and threads
-would only contend for the interpreter.
+A sweep with more than one chain runs its lanes in forked worker processes,
+up to ``worker_count()`` of them.  The risk callables reach the workers
+through the fork, so they need not be picklable; only lane indices go out
+and ``ChainResult`` lists come back.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,15 +58,9 @@ __all__ = [
     "worker_count",
 ]
 
-# 2**18 float64 values are 2 MiB, one core's L2 on the 2-core reference box.
-# Smaller risks spend most of each call holding the GIL: 2-chain sphere-linear
-# sweeps over 1000 x 100 acceptance values took 0.19 s in one thread and
-# 0.21 s in two, over 2600 x 100 values 0.53 s and 0.29 s.
-POOL_MIN_FEATURE_VALUES = 2**18
-
 
 def worker_count() -> int:
-    """Worker cap for concurrent chains: RISKLAB_THREADS or the machine's count."""
+    """Worker-process cap for concurrent chains: RISKLAB_THREADS or the machine's count."""
     env = os.environ.get("RISKLAB_THREADS")
     if env:
         return max(1, int(env))
@@ -77,10 +74,8 @@ class ChainConfig:
     ``beta`` is the inverse temperature; chains run in annealed mode read it
     as the whole sample count m instead.  ``acceptance_data`` is the dataset
     behind the acceptance risk; ``minibatch_proposal_step`` takes its size
-    when not given ``n_examples``, and ``boltzmann_sweep`` pools its chains
-    only when it holds at least ``POOL_MIN_FEATURE_VALUES`` feature values
-    (None, as for a closed-form risk, keeps them in one thread).  The risk
-    callables are built by the caller.
+    when not given ``n_examples``.  The risk callables are built by the
+    caller.
     """
 
     beta: float
@@ -134,8 +129,8 @@ class BoltzmannCurve:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         betas = [p.beta for p in self.points]
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise DomainError(f"betas must be strictly increasing, got {betas}")
+        if any(math.isnan(b) for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+            raise DomainError(f"betas must be strictly increasing and not NaN, got {betas}")
         if any(p.stderr < 0 for p in self.points):
             raise DomainError("stderr must be >= 0")
 
@@ -166,13 +161,14 @@ class ChainResult:
     final_state: ChainState
     calibration_steps: int  # probe steps before burn-in, not in ``steps``
     calibration_converged: bool | None  # None: run without calibration
+    phase_s: dict  # wall seconds of "calibrate", "burn_in" and "sample"
 
 
 @dataclass
 class SweepResult:
     curve: BoltzmannCurve
     runs: list  # runs[chain][beta_index] -> ChainResult
-    workers: int  # threads the chains ran on
+    workers: int  # processes the chains ran on; 1 is the calling thread
 
 
 def propose(w: WeightVector, scale: float, rng) -> WeightVector:
@@ -373,7 +369,6 @@ def run_chain(
     report_risk_fn=None,
     mode: str = "boltzmann",
     initial: WeightVector | None = None,
-    init_scale: float = 1.0,
     calibrate: bool = False,
     seed_path: tuple = (),
 ) -> ChainResult:
@@ -387,7 +382,7 @@ def run_chain(
     step, lead = _chain_step(mode, config.beta)
 
     if initial is None:
-        initial = random_weights(spec, init_scale, rng)
+        initial = random_weights(spec, 1.0, rng)
         if initial.constraint != UNIT_SPHERE:
             values = initial.values / np.linalg.norm(initial.values)
             initial = WeightVector(values, UNIT_SPHERE)
@@ -399,6 +394,7 @@ def run_chain(
         for _ in range(n):
             step(*args)
 
+    t_start = time.perf_counter()
     scale, converged = config.proposal_scale, None
     if calibrate:
         scale, converged = _calibrate_scale(state, config, advance)
@@ -407,8 +403,10 @@ def run_chain(
     state.steps_taken = 0
     state.accepts = 0
 
+    t_burn = time.perf_counter()
     advance(cfg, cfg.burn_in)
 
+    t_sample = time.perf_counter()
     steps = np.empty(cfg.samples, dtype=np.int64)
     risk_acc = np.empty(cfg.samples)
     risk_rep = np.empty(cfg.samples)
@@ -422,31 +420,32 @@ def run_chain(
             report_risk_fn(state.w) if report_risk_fn is not None else state.current_acceptance_risk
         )
         accepted[i] = 1 if state.accepts > before else 0
+    t_end = time.perf_counter()
 
     stderr, ess = _batch_means(risk_rep)
+    rate = state.accepts / state.steps_taken if state.steps_taken else 0.0
     return ChainResult(
-        beta=cfg.beta,
-        steps=steps,
-        risk_acceptance=risk_acc,
-        risk_report=risk_rep,
-        accepted=accepted,
-        acceptance_rate=state.accepts / state.steps_taken if state.steps_taken else 0.0,
-        mean_report=float(risk_rep.mean()),
-        stderr_report=stderr,
-        ess=ess,
-        proposal_scale=scale,
-        seed_path=tuple(seed_path),
-        final_state=state,
-        calibration_steps=calibration_steps,
-        calibration_converged=converged,
+        beta=cfg.beta, steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
+        accepted=accepted, acceptance_rate=rate, mean_report=float(risk_rep.mean()),
+        stderr_report=stderr, ess=ess, proposal_scale=scale, seed_path=tuple(seed_path),
+        final_state=state, calibration_steps=calibration_steps, calibration_converged=converged,
+        phase_s={"calibrate": t_burn - t_start, "burn_in": t_sample - t_burn,
+                 "sample": t_end - t_sample},
     )
 
 
-def _chain_workers(acceptance_data, n_chains: int) -> int:
-    """Threads for the chains: the pool only pays where the risk releases the GIL."""
-    if acceptance_data is None or acceptance_data.features.size < POOL_MIN_FEATURE_VALUES:
-        return 1
-    return min(worker_count(), n_chains)
+_lane_fn = None  # the sweep's lane function in a forked worker
+
+
+def _start_worker(lane_fn):
+    """Pool initializer: keep the lane function; leave Ctrl-C to the parent, which ends the pool."""
+    global _lane_fn
+    _lane_fn = lane_fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_lane(lane: int) -> list:
+    return _lane_fn(lane)
 
 
 def boltzmann_sweep(
@@ -458,7 +457,6 @@ def boltzmann_sweep(
     n_chains: int = 1,
     warm_start: bool = True,
     calibrate: bool = False,
-    init_scale: float = 1.0,
     mode: str = "boltzmann",
 ) -> SweepResult:
     """One or more chains per beta, warm-started along the increasing grid.
@@ -466,11 +464,11 @@ def boltzmann_sweep(
     Warm starting reuses each beta's final state as the next beta's initial
     state (a cheap annealing schedule); cold starts exist for equilibration
     cross-checks.  Chains are independent lanes with their own seed paths,
-    so where they run never changes any result.  They share a thread pool of
-    up to ``worker_count()`` threads only when ``base_config.acceptance_data``
-    holds at least ``POOL_MIN_FEATURE_VALUES`` feature values; otherwise
-    they run one after another in the calling thread.  Every grid point's
-    settings are checked before any chain runs.
+    so where they run never changes any result.  With more than one chain
+    they run in up to ``worker_count()`` forked worker processes; one
+    worker, a platform without fork, or a caller that is itself a daemonic
+    worker runs them in the calling thread.  Every grid point's settings
+    are checked before any chain runs.
     """
     beta_grid = [float(b) for b in beta_grid]
     if any(not b2 > b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):  # refuses NaN too
@@ -484,29 +482,21 @@ def boltzmann_sweep(
     def run_lane(lane):
         results, warm = [], None
         for bi, cfg in enumerate(configs):
-            res = run_chain(
-                cfg,
-                spec,
-                risk_fn,
-                report_risk_fn=report_risk_fn,
-                mode=mode,
-                initial=warm,
-                init_scale=init_scale,
-                calibrate=calibrate,
-                seed_path=(lane, bi),
-            )
+            res = run_chain(cfg, spec, risk_fn, report_risk_fn=report_risk_fn, mode=mode,
+                            initial=warm, calibrate=calibrate, seed_path=(lane, bi))
             results.append(res)
             if warm_start:
                 warm = res.final_state.w
         return results
 
-    # one worker stays in this thread so Ctrl-C stops it at once
-    workers = _chain_workers(base_config.acceptance_data, n_chains)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lanes = list(pool.map(run_lane, range(n_chains)))
+    workers = min(worker_count(), n_chains)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):  # a daemonic worker may not fork
+        workers, lanes = 1, [run_lane(lane) for lane in range(n_chains)]
     else:
-        lanes = [run_lane(lane) for lane in range(n_chains)]
+        # leaving the block terminates and joins the workers, on success, error or Ctrl-C
+        with multiprocessing.get_context("fork").Pool(workers, _start_worker, (run_lane,)) as pool:
+            lanes = pool.map(_run_lane, range(n_chains), chunksize=1)
 
     points = []
     for bi, beta in enumerate(beta_grid):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -10,9 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import risklab
+import risklab.cli as cli
 from risklab.cli import dispatch, load_config
 from risklab.datasets import dataset_from_csv
 from risklab.errors import ConfigError
+from risklab.mcmc import worker_count
 
 
 def read_rows(path):
@@ -238,8 +241,8 @@ class TestSamplingCommands:
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         listed = {o["path"] for o in manifest["outputs"]}
         assert str(out) in listed and all(str(f) in listed for f in chain_files)
-        # a closed-form risk keeps its chains in one thread; no --calibrate, no probes
-        assert manifest["chain_workers"] == 1
+        # one worker process per chain up to the cap; no --calibrate, no probes
+        assert manifest["chain_workers"] == min(worker_count(), 2)
         assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40), "calibration_steps": 0}
 
     def test_manifest_counts_calibration_probes(self, tmp_path):
@@ -275,9 +278,7 @@ class TestSamplingCommands:
         assert converged[0] is converged[2] is False
         assert scales[0] == scales[2] == pytest.approx(0.4 * 1.4**25)
 
-    @pytest.mark.parametrize("flags", [["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"],
-                                       ["--machine", "mlp", "--beta-grid", "0,3",
-                                        "--layer-sizes", "3,2", "--init-scale", "nan"]])
+    @pytest.mark.parametrize("flags", [["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"]])
     def test_non_finite_chain_parameter_exits_two(self, tmp_path, flags):
         data_csv = tmp_path / "d.csv"
         assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
@@ -288,6 +289,38 @@ class TestSamplingCommands:
                          "--seed", "1", "--out", str(out)] + flags)
         assert code == 2
         assert not out.exists()
+
+    def test_manifest_records_phase_times(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert dispatch(["sample", "annealed", "--machine", "perceptron-exact", "--p", "10",
+                         "--delta", "2", "--m-grid", "0,5", "--chains", "2", "--burn-in", "20",
+                         "--samples", "10", "--calibrate", "--seed", "21", "--out", str(out)]) == 0
+        record = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        phases = record["chain_phase_s"]
+        assert len(phases) == len(record["proposal_scales"]) == 4
+        for phase in phases:
+            assert set(phase) == {"calibrate", "burn_in", "sample"}
+            assert all(t >= 0 for t in phase.values())
+            assert phase["calibrate"] > 0  # --calibrate probes at least one round
+
+    def test_worker_chain_error_exits_two(self, tmp_path, monkeypatch):
+        data_csv = tmp_path / "d.csv"
+        assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
+                         "--seed", "7", "--out", str(data_csv)]) == 0
+        parent, real = os.getpid(), cli.empirical_risk
+
+        def risk(*args, **kwargs):
+            return float("nan") if os.getpid() != parent else real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "empirical_risk", risk)
+        monkeypatch.setenv("RISKLAB_THREADS", "2")
+        out = tmp_path / "x.csv"
+        assert dispatch(["sample", "boltzmann-sweep", "--machine", "sphere-linear",
+                         "--data", str(data_csv), "--beta-grid", "0,3", "--chains", "2",
+                         "--burn-in", "20", "--samples", "10", "--seed", "1",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_non_finite_teacher_file_exits_two(self, tmp_path):
         data_csv, teacher = tmp_path / "d.csv", tmp_path / "t.bin"
@@ -324,6 +357,14 @@ class TestSamplingCommands:
         assert code == 0
         header, rows = read_rows(out)
         assert header[0] == "m" and len(rows) == 2
+
+    @pytest.mark.parametrize("beta", ["inf", "nan", "-inf"])
+    def test_non_finite_curve_beta_exits_one(self, tmp_path, beta):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"beta,risk\n0,0.5\n10,0.3\n{beta},0.2\n")
+        out = tmp_path / "entropy.csv"
+        assert dispatch(["reconstruct", "entropy", "--curve", str(curve), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_reconstruct_and_fit(self, tmp_path):
         curve = tmp_path / "curve.csv"

@@ -1,5 +1,7 @@
 import math
-import threading
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -371,6 +373,12 @@ def exact_perceptron_risk(w):
     return float(ndtr(-2.0 * w.values[0]))
 
 
+def _two_chain_sweep():
+    cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=50, samples=20, thin=1, seed=56)
+    sweep = boltzmann_sweep([0.0, 5.0], cfg, PSPEC, exact_perceptron_risk, n_chains=2)
+    return sweep.workers, sweep.curve.risks.tolist()
+
+
 def same_chain(a, b):
     return (a.seed_path == b.seed_path and a.proposal_scale == b.proposal_scale
             and (a.steps == b.steps).all() and (a.accepted == b.accepted).all()
@@ -512,34 +520,55 @@ class TestBoltzmannSweep:
         for lane_a, lane_b in zip(sequential.runs, pooled.runs):
             assert all(same_chain(a, b) for a, b in zip(lane_a, lane_b))
 
-    def test_large_acceptance_data_pools_chains(self, monkeypatch):
-        # 2622 x 100 = 262,200 feature values, just over POOL_MIN_FEATURE_VALUES
-        big = gen_gaussian_pair(GaussianClassSpec(100, 1.0), 2622, seed=54)
-        small = big.subset(np.arange(2621))  # 262,100 values, just under
-        spec = PredictorSpec(kind="sphere_linear", input_dim=100)
-        threads = set()
+    def test_chains_run_in_worker_processes(self, monkeypatch, tmp_path):
+        log = tmp_path / "pids"
+        seen = set()
 
-        def sweep(data):
-            def risk(w):
-                threads.add(threading.get_ident())
-                return empirical_risk(spec, w, data)
+        def risk(w):
+            pid = os.getpid()
+            if pid not in seen:
+                seen.add(pid)
+                with open(log, "a") as fh:
+                    fh.write(f"{pid}\n")
+                time.sleep(0.5)  # hold this lane so the other worker takes the next
+            return exact_perceptron_risk(w)
 
-            threads.clear()
-            cfg = ChainConfig(beta=0.0, proposal_scale=0.2, burn_in=100, samples=50,
-                              thin=1, seed=54, acceptance_data=data)
-            return boltzmann_sweep([0.0, 5.0], cfg, spec, risk, n_chains=2), set(threads)
+        def pids(threads):
+            monkeypatch.setenv("RISKLAB_THREADS", threads)
+            log.write_text("")
+            cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=100, samples=50,
+                              thin=1, seed=54)
+            sweep = boltzmann_sweep([0.0, 5.0], cfg, PSPEC, risk, n_chains=2)
+            return sweep, {int(line) for line in log.read_text().split()}
 
-        monkeypatch.setenv("RISKLAB_THREADS", "1")
-        sequential, sequential_threads = sweep(big)
-        monkeypatch.setenv("RISKLAB_THREADS", "2")
-        pooled, pooled_threads = sweep(big)
+        sequential, sequential_pids = pids("1")
+        pooled, pooled_pids = pids("2")
+        assert (sequential.workers, pooled.workers) == (1, 2)
+        assert sequential_pids == {os.getpid()}
+        assert len(pooled_pids) == 2 and os.getpid() not in pooled_pids
         assert sequential.curve == pooled.curve
         for lane_a, lane_b in zip(sequential.runs, pooled.runs):
             assert all(same_chain(a, b) for a, b in zip(lane_a, lane_b))
-        assert (sequential.workers, pooled.workers) == (1, 2)
-        assert len(sequential_threads) == 1 and len(pooled_threads) == 2
-        below, below_threads = sweep(small)
-        assert below.workers == 1 and below_threads == {threading.get_ident()}
+        assert multiprocessing.active_children() == []
+
+    def test_worker_chain_error_reaches_caller(self, monkeypatch):
+        parent = os.getpid()
+
+        def risk(w):
+            return math.nan if os.getpid() != parent else exact_perceptron_risk(w)
+
+        monkeypatch.setenv("RISKLAB_THREADS", "2")
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10, thin=1, seed=55)
+        with pytest.raises(ChainError, match="non-finite risk nan"):
+            boltzmann_sweep([0.0, 5.0], cfg, PSPEC, risk, n_chains=2)
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_in_daemonic_worker_stays_in_one_process(self, monkeypatch):
+        monkeypatch.setenv("RISKLAB_THREADS", "2")
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            workers, risks = pool.apply_async(_two_chain_sweep).get(timeout=60)
+        assert workers == 1
+        assert risks == _two_chain_sweep()[1]
 
     def test_adding_chains_keeps_existing_lanes(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=200, samples=100,
@@ -590,6 +619,11 @@ class TestCurveValidation:
         p2 = BoltzmannPoint(0.0, 0.4, 0.0, 1.0, 10.0)
         with pytest.raises(DomainError):
             BoltzmannCurve((p1, p2))
+
+    @pytest.mark.parametrize("betas", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
+    def test_nan_beta_rejected(self, betas):
+        with pytest.raises(DomainError):
+            BoltzmannCurve(tuple(BoltzmannPoint(b, 0.5, 0.0, 1.0, 10.0) for b in betas))
 
     def test_negative_stderr_rejected(self):
         with pytest.raises(DomainError):

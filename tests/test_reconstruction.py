@@ -91,6 +91,12 @@ class TestReconstructBasics:
             reconstruct(curve)
 
 
+    @pytest.mark.parametrize("betas", [[0.0, math.inf], [math.inf]])
+    def test_infinite_beta_rejected(self, betas):
+        with pytest.raises(DomainError):
+            reconstruct(curve_from(betas, [0.9, 0.8][:len(betas)]))
+
+
 class TestPoolNonIncreasing:
     def test_monotone_input_untouched(self):
         v = [0.9, 0.7, 0.7, 0.4]
