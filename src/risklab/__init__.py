@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .perceptron import (  # noqa: F401
     GaussianClassSpec,
-    RiskEntropyPoint,
     angle_density,
     boltzmann_risk_exact,
     hebbian_asymptote,

@@ -6,8 +6,8 @@ read and wrote, and timing.  Re-running a command with the parameters from
 its manifest reproduces every CSV byte for byte (manifests themselves carry
 wall-clock times and are not byte-stable).
 
-Numeric CSV cells carry 17 significant digits, which round-trips IEEE-754
-doubles exactly.  Files are written atomically (temp file + rename).
+CSV and JSON files, dataset CSVs included, are written atomically (temp
+file + rename); :mod:`risklab.datasets` owns the CSV format.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .datasets import dataset_from_csv, dataset_to_csv, gen_gaussian_pair, load_idx, split, teacher_relabel
+from .datasets import (atomic_write, dataset_from_csv, dataset_to_csv, gen_gaussian_pair, load_idx,
+                       read_table, split, teacher_relabel, write_csv)
 from .errors import ConfigError, RisklabError
 from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, boltzmann_sweep
 from .perceptron import (
@@ -160,28 +161,6 @@ def _merge(args, opts) -> dict:
 # output helpers
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _fingerprint(path) -> dict:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -213,23 +192,11 @@ class Manifest:
 
     def write(self, out_path):
         self.record["wall_clock_s"] = time.perf_counter() - self._start
-        _atomic_write(f"{out_path}.manifest.json", json.dumps(self.record, indent=2, default=str) + "\n")
-
-
-def _read_table(path):
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
-    return header, rows
+        atomic_write(f"{out_path}.manifest.json", [json.dumps(self.record, indent=2, default=str), "\n"])
 
 
 def read_curve_csv(path) -> BoltzmannCurve:
-    header, rows = _read_table(path)
+    header, rows = read_table(path)
     if "beta" not in header or "risk" not in header:
         raise ConfigError(f"{path}: curve CSV needs 'beta' and 'risk' columns, got {header}")
     idx = {name: header.index(name) for name in header}
@@ -246,7 +213,7 @@ def read_curve_csv(path) -> BoltzmannCurve:
 
 
 def read_entropy_csv(path) -> EntropyCurve:
-    header, rows = _read_table(path)
+    header, rows = read_table(path)
     if header[:2] != ["r", "s"]:
         raise ConfigError(f"{path}: entropy CSV needs columns r,s[,pooled_flag], got {header}")
     r = np.array([float(row[0]) for row in rows])
@@ -442,7 +409,7 @@ def _cmd_fit_quadratic(params, manifest):
     manifest.add_input(params["entropy"])
     c0, c1, c2, rms = quadratic_fit(curve)
     payload = {"c0": c0, "c1": c1, "c2": c2, "residual_rms": rms}
-    _atomic_write(params["out"], json.dumps(payload, indent=2) + "\n")
+    atomic_write(params["out"], [json.dumps(payload, indent=2), "\n"])
     manifest.add_output(params["out"])
     manifest.record["fit"] = payload
 

@@ -1,13 +1,15 @@
-"""Dataset generation, IDX ingestion, teacher relabeling, and splits."""
+"""Dataset generation, IDX ingestion, teacher relabeling, splits, and the package's CSV format."""
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
+from .errors import ConfigError, DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
 from .perceptron import GaussianClassSpec
 from .predictors import PredictorSpec, WeightVector, predict_batch
 from .rng import as_generator
@@ -58,7 +60,7 @@ class LabelledDataset:
         """Contiguous feature-major copy (p × n) of ``features``, built on first use.
 
         The copy is rebuilt whenever ``features`` has been replaced, so it
-        cannot go stale.  Chain threads that race here build equal copies.
+        cannot go stale.  Forked chain workers inherit or build their own copy.
         """
         cached = getattr(self, "_features_t", None)
         if cached is None or cached[0] is not self.features:
@@ -167,23 +169,55 @@ def split(data: LabelledDataset, fraction: float, seed) -> tuple[LabelledDataset
     return data.subset(perm[:k]), data.subset(perm[k:])
 
 
+def _fmt(value) -> str:
+    """A CSV cell: integers as such, other numbers with 17 digits (exact for doubles)."""
+    if isinstance(value, float) or not isinstance(value, (bool, np.bool_, int, np.integer)):
+        return f"{float(value):.17g}"
+    return str(int(value))
+
+
+def atomic_write(path, chunks):
+    """Write strings to a temp file and rename it over ``path``; on failure ``path`` is untouched."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_csv(path, header, rows):
+    """Stream a header line and one line of :func:`_fmt` cells per row to ``path``, atomically."""
+    atomic_write(path, itertools.chain([",".join(header) + "\n"],
+                                       (",".join(map(_fmt, row)) + "\n" for row in rows)))
+
+
+def read_table(path):
+    """(header, rows of string cells); no data rows or a ragged row raise ConfigError."""
+    with open(path, "r", newline="") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ConfigError(f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
+    return header, rows
+
+
 def dataset_to_csv(data: LabelledDataset, path):
-    """CSV export with header ``label,f0,f1,...`` and 17-significant-digit floats."""
-    with open(path, "w", newline="") as fh:
-        fh.write("label," + ",".join(f"f{j}" for j in range(data.feature_dim)) + "\n")
-        for label, row in zip(data.labels, data.features):
-            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    """CSV export with header ``label,f0,f1,...``."""
+    write_csv(path, ["label"] + [f"f{j}" for j in range(data.feature_dim)],
+              ([y] + row.tolist() for y, row in zip(data.labels.tolist(), data.features)))
 
 
 def dataset_from_csv(path, class_count: int | None = None) -> LabelledDataset:
-    """Read a CSV written by :func:`dataset_to_csv`."""
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "label":
-            raise DomainError(f"{path}: expected a 'label,f0,...' header, got {header[:3]}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
+    """Read a CSV written by :func:`dataset_to_csv`; malformed files raise ConfigError."""
+    header, rows = read_table(path)
+    if header[0] != "label":
+        raise ConfigError(f"{path}: expected a 'label,f0,...' header, got {header[:3]}")
     labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
     features = np.array([[float(v) for v in r[1:]] for r in rows], dtype=float)
     if class_count is None:

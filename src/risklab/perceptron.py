@@ -28,7 +28,6 @@ from .rng import as_generator, stream
 
 __all__ = [
     "GaussianClassSpec",
-    "RiskEntropyPoint",
     "perceptron_risk",
     "angle_density",
     "risk_entropy",
@@ -71,14 +70,6 @@ class GaussianClassSpec:
     def r_min(self) -> float:
         """Minimum achievable risk Φ(−Δ)."""
         return float(ndtr(-self.delta))
-
-
-@dataclass(frozen=True)
-class RiskEntropyPoint:
-    """A point (r, s) on a risk-entropy curve; s is defined up to a constant."""
-
-    r: float
-    s: float
 
 
 def perceptron_risk(theta: float, delta: float) -> float:

@@ -102,8 +102,6 @@ def reconstruct(curve: BoltzmannCurve, anchor_s0: float = 0.0) -> EntropyCurve:
     betas = curve.betas
     if betas.size == 0:
         raise DomainError("cannot reconstruct from an empty curve")
-    if (np.diff(betas) <= 0).any():
-        raise DomainError(f"betas must be strictly increasing, got {betas.tolist()}")
     if not np.isfinite(betas).all():
         raise DomainError(f"betas must be finite, got {betas.tolist()}")
     risks = curve.risks

@@ -69,11 +69,29 @@ class TestDispatchContracts:
         assert dispatch(["--help"]) == 0
 
     @pytest.mark.parametrize("command, text", [
-        (["fit", "quadratic", "--entropy"], "r,s\n"),
-        (["analytic", "gibbs-annealed", "--m", "10", "--entropy"], "r,s\n"),
-        (["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1\n"),
-        (["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8\n0.7,-2\n0.6,-3\n"),
-    ], ids=["fit-header-only", "gibbs-header-only", "reconstruct-short-row", "fit-short-row"])
+        pytest.param(["fit", "quadratic", "--entropy"], "r,s\n", id="fit-header-only"),
+        pytest.param(["analytic", "gibbs-annealed", "--m", "10", "--entropy"], "r,s\n",
+                     id="gibbs-header-only"),
+        pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1\n",
+                     id="reconstruct-short-row"),
+        pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8\n0.7,-2\n0.6,-3\n",
+                     id="fit-short-row"),
+    ] + [
+        pytest.param(command, text, id=f"{name}-{case}")
+        for name, command in [
+            ("relabel", ["data", "relabel", "--kind", "sphere-linear", "--teacher-seed", "1",
+                         "--data"]),
+            ("sweep", ["sample", "boltzmann-sweep", "--machine", "sphere-linear",
+                       "--beta-grid", "0,1", "--burn-in", "5", "--samples", "5", "--seed", "1",
+                       "--data"]),
+        ]
+        for case, text in [
+            ("header-only", "label,f0,f1\n"),
+            ("short-row", "label,f0,f1\n0,1,2\n1,3\n"),
+            ("wide-rows", "label,f0,f1\n0,1,2,3\n1,3,4,5\n"),
+            ("no-label", "lbl,f0,f1\n0,1,2\n1,3,4\n"),
+        ]
+    ])
     def test_malformed_input_csv_exits_one(self, tmp_path, command, text):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)

@@ -16,7 +16,7 @@ from risklab import (
     teacher_relabel,
     write_idx,
 )
-from risklab.datasets import dataset_from_csv, dataset_to_csv
+from risklab.datasets import dataset_from_csv, dataset_to_csv, write_csv
 from risklab.errors import (
     DomainError,
     IdxDimensionError,
@@ -189,6 +189,19 @@ class TestCsv:
         back = dataset_from_csv(path, class_count=2)
         assert (back.features == data.features).all()
         assert (back.labels == data.labels).all()
+
+    def test_golden_bytes_written_atomically(self, tmp_path):
+        data = LabelledDataset(np.array([[0.1, -0.0], [1e-300, 2.0]]), np.array([1, 0]), 2)
+        path = tmp_path / "d.csv"
+        golden = "label,f0,f1\n1,0.10000000000000001,-0\n0,1e-300,2\n"
+        dataset_to_csv(data, path)
+        assert path.read_text() == golden
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        # a write that fails part-way leaves the old file and no temp file
+        with pytest.raises(ValueError):
+            write_csv(path, ["a"], [[0.5], ["not a number"]])
+        assert path.read_text() == golden
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
 
 class TestValidation:

@@ -619,6 +619,8 @@ class TestCurveValidation:
         p2 = BoltzmannPoint(0.0, 0.4, 0.0, 1.0, 10.0)
         with pytest.raises(DomainError):
             BoltzmannCurve((p1, p2))
+        with pytest.raises(DomainError):
+            BoltzmannCurve((BoltzmannPoint(5.0, 0.8, 0.0, 1.0, 1.0), p1))
 
     @pytest.mark.parametrize("betas", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
     def test_nan_beta_rejected(self, betas):

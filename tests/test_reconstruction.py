@@ -80,17 +80,6 @@ class TestReconstructBasics:
         assert entropy.pooled.any()
         assert entropy.size == 3  # pooled tie collapsed into one point
 
-    def test_non_monotone_betas_rejected(self):
-        points = (
-            BoltzmannPoint(0.0, 0.9, 0.0, 1.0, 1.0),
-            BoltzmannPoint(5.0, 0.8, 0.0, 1.0, 1.0),
-        )
-        curve = BoltzmannCurve(points)
-        object.__setattr__(curve, "points", points[::-1])
-        with pytest.raises(DomainError):
-            reconstruct(curve)
-
-
     @pytest.mark.parametrize("betas", [[0.0, math.inf], [math.inf]])
     def test_infinite_beta_rejected(self, betas):
         with pytest.raises(DomainError):
