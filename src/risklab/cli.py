@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import (atomic_write, dataset_from_csv, dataset_to_csv, gen_gaussian_pair, load_idx,
-                       read_table, split, teacher_relabel, write_csv)
+                       read_table, split, teacher_relabel, whole_numbers, write_csv)
 from .errors import ConfigError, RisklabError
 from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, boltzmann_sweep
 from .perceptron import (
@@ -196,33 +195,27 @@ class Manifest:
 
 
 def read_curve_csv(path) -> BoltzmannCurve:
-    header, rows = read_table(path)
+    header, table = read_table(path)
     if "beta" not in header or "risk" not in header:
         raise ConfigError(f"{path}: curve CSV needs 'beta' and 'risk' columns, got {header}")
-    idx = {name: header.index(name) for name in header}
-    points = []
-    for row in rows:
-        def col(name, default=0.0):
-            return float(row[idx[name]]) if name in idx else default
-        beta = col("beta")
-        if not math.isfinite(beta):
-            raise ConfigError(f"{path}: beta must be finite, got {row[idx['beta']]}")
-        points.append(BoltzmannPoint(beta=beta, risk=col("risk"), stderr=col("stderr"),
-                                     acceptance_rate=col("acceptance_rate"), ess=col("ess")))
-    return BoltzmannCurve(tuple(points))
+    columns = {name: table[:, header.index(name)] for name in header}
+    beta = columns["beta"]
+    if not np.isfinite(beta).all():
+        raise ConfigError(f"{path}: beta must be finite, got {beta[~np.isfinite(beta)][0]}")
+    rows = np.column_stack([columns.get(name, np.zeros(len(table)))
+                            for name in ("beta", "risk", "stderr", "acceptance_rate", "ess")])
+    return BoltzmannCurve(tuple(BoltzmannPoint(*row) for row in rows.tolist()))
 
 
 def read_entropy_csv(path) -> EntropyCurve:
-    header, rows = read_table(path)
+    header, table = read_table(path)
     if header[:2] != ["r", "s"]:
         raise ConfigError(f"{path}: entropy CSV needs columns r,s[,pooled_flag], got {header}")
-    r = np.array([float(row[0]) for row in rows])
-    s = np.array([float(row[1]) for row in rows])
     pooled = None
     if "pooled_flag" in header:
-        j = header.index("pooled_flag")
-        pooled = np.array([int(float(row[j])) for row in rows])
-    return EntropyCurve(r=r, s=s, anchor=(float(r[0]), float(s[0])), pooled=pooled)
+        pooled = whole_numbers(path, "pooled_flag", table[:, header.index("pooled_flag")])
+    return EntropyCurve(r=table[:, 0], s=table[:, 1], anchor=tuple(table[0, :2].tolist()),
+                        pooled=pooled)
 
 
 # ---------------------------------------------------------------------------

@@ -195,16 +195,29 @@ def write_csv(path, header, rows):
 
 
 def read_table(path):
-    """(header, rows of string cells); no data rows or a ragged row raise ConfigError."""
+    """(header, float64 matrix of the non-blank rows); empty, ragged or non-numeric data is a ConfigError."""
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ConfigError(f"{path}: data row {i} has {len(row)} fields, header has {len(header)}")
-    return header, rows
+        lines = (line for line in fh if line.strip())
+        if (first := next(lines, None)) is None:
+            raise ConfigError(f"{path}: no data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if table.shape[1] != len(header):
+        raise ConfigError(f"{path}: data rows have {table.shape[1]} fields, header has {len(header)}")
+    return header, table
+
+
+def whole_numbers(path, name, column) -> np.ndarray:
+    """A table column as int64; a cell that is not a whole number raises ConfigError."""
+    with np.errstate(invalid="ignore"):
+        ints = column.astype(np.int64)
+    bad = ints != column
+    if bad.any():
+        raise ConfigError(f"{path}: {name} must be whole numbers, got {column[bad][0]}")
+    return ints
 
 
 def dataset_to_csv(data: LabelledDataset, path):
@@ -215,11 +228,10 @@ def dataset_to_csv(data: LabelledDataset, path):
 
 def dataset_from_csv(path, class_count: int | None = None) -> LabelledDataset:
     """Read a CSV written by :func:`dataset_to_csv`; malformed files raise ConfigError."""
-    header, rows = read_table(path)
+    header, table = read_table(path)
     if header[0] != "label":
         raise ConfigError(f"{path}: expected a 'label,f0,...' header, got {header[:3]}")
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    features = np.array([[float(v) for v in r[1:]] for r in rows], dtype=float)
+    labels = whole_numbers(path, "labels", table[:, 0])
     if class_count is None:
         class_count = int(labels.max()) + 1
-    return LabelledDataset(features, labels, class_count)
+    return LabelledDataset(np.ascontiguousarray(table[:, 1:]), labels, class_count)

@@ -49,7 +49,6 @@ class PredictorSpec:
     kind: str
     input_dim: int
     layer_sizes: tuple = ()
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.kind not in (SPHERE_LINEAR, MLP):
@@ -65,8 +64,6 @@ class PredictorSpec:
                 raise DomainError("mlp needs at least one layer size")
             if any(n < 1 for n in self.layer_sizes):
                 raise DomainError(f"layer sizes must be positive, got {self.layer_sizes}")
-        if self.activation != "relu":
-            raise DomainError("only the rectifier activation is supported")
 
     @property
     def class_count(self) -> int:

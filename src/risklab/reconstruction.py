@@ -137,26 +137,22 @@ def quadratic_fit(curve: EntropyCurve) -> tuple[float, float, float, float]:
     return float(coef[0]), float(coef[1]), float(coef[2]), rms
 
 
-def predicted_annealed_risk(
-    curve: EntropyCurve,
-    m: int,
-    allow_extrapolation: bool = False,
-) -> float:
+def predicted_annealed_risk(curve: EntropyCurve, m: int) -> float:
     """Predicted risk after m examples under the annealed model, from the curve.
 
     The curve is interpolated by a monotone cubic (no spurious wiggles enter
     s′, which the saddle condition differentiates) and handed to the saddle
     solver with μ(r) = m·log(1−r).  When the saddle lies outside the
     measured range the prediction falls back to the in-range maximiser of
-    s(r) + μ(r), i.e. the appropriate end of the curve; extrapolating beyond
-    the data requires ``allow_extrapolation``.
+    s(r) + μ(r), i.e. the appropriate end of the curve.  The interpolant is
+    never evaluated beyond the data.
     """
     if curve.size < 2:
         raise DomainError("need at least 2 curve points to interpolate")
     order = np.argsort(curve.r)
     r_sorted = curve.r[order]
     s_sorted = curve.s[order]
-    interp = PchipInterpolator(r_sorted, s_sorted, extrapolate=allow_extrapolation)
+    interp = PchipInterpolator(r_sorted, s_sorted, extrapolate=False)
     s_prime = interp.derivative()
     model = annealed_mu(m)
     pad = 1e-9 * (r_sorted[-1] - r_sorted[0])

@@ -76,6 +76,12 @@ class TestDispatchContracts:
                      id="reconstruct-short-row"),
         pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8\n0.7,-2\n0.6,-3\n",
                      id="fit-short-row"),
+        pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1,abc\n",
+                     id="reconstruct-non-numeric"),
+        pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8,abc\n0.7,-2\n0.6,-3\n",
+                     id="fit-non-numeric"),
+        pytest.param(["analytic", "gibbs-annealed", "--m", "10", "--entropy"],
+                     "r,s\n0.9,0\nabc,-1\n0.7,-2\n", id="gibbs-non-numeric"),
     ] + [
         pytest.param(command, text, id=f"{name}-{case}")
         for name, command in [
@@ -90,6 +96,9 @@ class TestDispatchContracts:
             ("short-row", "label,f0,f1\n0,1,2\n1,3\n"),
             ("wide-rows", "label,f0,f1\n0,1,2,3\n1,3,4,5\n"),
             ("no-label", "lbl,f0,f1\n0,1,2\n1,3,4\n"),
+            ("non-numeric", "label,f0,f1\n0,abc,2\n1,3,4\n"),
+            ("empty-cell", "label,f0,f1\n0,1,2\n1,,4\n"),
+            ("fractional-label", "label,f0,f1\n0,1,2\n1.5,3,4\n"),
         ]
     ])
     def test_malformed_input_csv_exits_one(self, tmp_path, command, text):

@@ -1,7 +1,11 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from risklab import (
     GaussianClassSpec,
@@ -18,6 +22,7 @@ from risklab import (
 )
 from risklab.datasets import dataset_from_csv, dataset_to_csv, write_csv
 from risklab.errors import (
+    ConfigError,
     DomainError,
     IdxDimensionError,
     IdxMagicError,
@@ -202,6 +207,34 @@ class TestCsv:
             write_csv(path, ["a"], [[0.5], ["not a number"]])
         assert path.read_text() == golden
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    @given(features=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(features=np.array([[-0.0]]))
+    @example(features=np.array([[5e-324, -2.2250738585072009e-308, -0.0, 1.7976931348623157e308]]))
+    def test_any_finite_matrix_round_trips_bit_exactly(self, tmp_path_factory, features):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        labels = np.arange(features.shape[0]) % 2
+        dataset_to_csv(LabelledDataset(features, labels, 2), path)
+        back = dataset_from_csv(path, class_count=2)
+        assert back.features.flags.c_contiguous
+        assert (back.features.view(np.int64) == features.view(np.int64)).all()
+        assert (back.labels == labels).all()
+
+    def test_header_only_refused_without_warning(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="no data rows"):
+                dataset_from_csv(path)
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0\n0,1.5\n \t \n\n1,-2.5\n")
+        back = dataset_from_csv(path)
+        assert back.features.tolist() == [[1.5], [-2.5]]
+        assert back.labels.tolist() == [0, 1]
 
 
 class TestValidation:
