@@ -50,13 +50,9 @@ from scipy.special import ndtr
 __all__ = ["dispatch", "load_config", "main"]
 
 
-class UsageError(Exception):
-    """Bad command line or config file; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +148,7 @@ def _merge(args, opts) -> dict:
         merged[o.dest] = val
     missing = [o.flag for o in opts if o.required and merged[o.dest] is None]
     if missing:
-        raise UsageError(f"missing required options: {', '.join(missing)}")
+        raise ConfigError(f"missing required options: {', '.join(missing)}")
     return merged
 
 
@@ -214,8 +210,7 @@ def read_entropy_csv(path) -> EntropyCurve:
     pooled = None
     if "pooled_flag" in header:
         pooled = whole_numbers(path, "pooled_flag", table[:, header.index("pooled_flag")])
-    return EntropyCurve(r=table[:, 0], s=table[:, 1], anchor=tuple(table[0, :2].tolist()),
-                        pooled=pooled)
+    return EntropyCurve(r=table[:, 0], s=table[:, 1], pooled=pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +221,15 @@ def _gaussian(params) -> GaussianClassSpec:
     return GaussianClassSpec(params["p"], params["delta"])
 
 
-def _grid(params, name) -> list:
-    """``--<name>-grid`` if given, else the single ``--<name>`` value."""
-    grid = params[f"{name}_grid"] or [params[name]]
-    if grid == [None]:
-        raise UsageError(f"need --{name} or --{name}-grid")
-    return grid
-
-
 def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
     """Spec of a dataset-backed machine named on the command line."""
     if kind == "sphere-linear":
         return PredictorSpec(kind="sphere_linear", input_dim=input_dim)
     if kind == "mlp":
         if not layer_sizes:
-            raise UsageError("mlp needs --layer-sizes")
+            raise ConfigError("mlp needs --layer-sizes")
         return PredictorSpec(kind="mlp", input_dim=input_dim, layer_sizes=tuple(layer_sizes))
-    raise UsageError(f"unknown machine {kind!r}")
+    raise ConfigError(f"unknown machine {kind!r}")
 
 
 def _build_machine(params, manifest):
@@ -250,7 +237,7 @@ def _build_machine(params, manifest):
     machine = params["machine"]
     if machine == "perceptron-exact":
         if params["p"] is None or params["delta"] is None:
-            raise UsageError("perceptron-exact needs --p and --delta")
+            raise ConfigError("perceptron-exact needs --p and --delta")
         delta = params["delta"]
 
         def risk_fn(w):
@@ -259,7 +246,7 @@ def _build_machine(params, manifest):
 
         return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
     if params["data"] is None:
-        raise UsageError(f"{machine} needs --data")
+        raise ConfigError(f"{machine} needs --data")
     data = dataset_from_csv(params["data"])
     manifest.add_input(params["data"])
     spec = _predictor_spec(machine, data.feature_dim, params["layer_sizes"])
@@ -286,7 +273,6 @@ def _run_sweep(params, manifest, mode, grid_column):
         risk_fn,
         report_risk_fn=report_fn,
         n_chains=params["chains"],
-        warm_start=not params["cold_start"],
         calibrate=bool(params["calibrate"]),
         mode=mode,
     )
@@ -321,8 +307,7 @@ def _run_sweep(params, manifest, mode, grid_column):
 
 def _cmd_analytic_perceptron_entropy(params, manifest):
     spec = _gaussian(params)
-    pad = params["r_pad"]
-    grid = params["r_grid"] or np.linspace(spec.r_min + pad, 1.0 - spec.r_min - pad, params["points"])
+    grid = np.linspace(spec.r_min + 1e-4, 1.0 - spec.r_min - 1e-4, params["points"])
     return ["r", "s"], [(r, risk_entropy(float(r), spec)) for r in grid]
 
 
@@ -337,7 +322,7 @@ def _cmd_analytic_hebbian(params, manifest):
 
 
 def _cmd_analytic_gardner(params, manifest):
-    states = [solve_saddle(float(alpha)) for alpha in _grid(params, "alpha")]
+    states = [solve_saddle(float(alpha)) for alpha in params["alpha_grid"]]
     return ["alpha", "q", "r", "r_times_alpha"], [(s.alpha, s.q, s.r, s.r * s.alpha) for s in states]
 
 
@@ -345,7 +330,7 @@ def _cmd_analytic_gibbs_annealed(params, manifest):
     curve = read_entropy_csv(params["entropy"])
     manifest.add_input(params["entropy"])
     return ["m", "predicted_risk"], [(m, predicted_annealed_risk(curve, int(m)))
-                                     for m in _grid(params, "m")]
+                                     for m in params["m_grid"]]
 
 
 def _cmd_simulate_hebbian(params, manifest):
@@ -381,8 +366,8 @@ def _cmd_data_relabel(params, manifest):
         manifest.add_input(params["teacher_weights"])
     else:
         if params["teacher_seed"] is None:
-            raise UsageError("need --teacher-weights or --teacher-seed")
-        w_star = random_weights(spec, params["teacher_scale"], stream(params["teacher_seed"]))
+            raise ConfigError("need --teacher-weights or --teacher-seed")
+        w_star = random_weights(spec, 1.0, stream(params["teacher_seed"]))
     dataset_to_csv(teacher_relabel(data, spec, w_star), params["out"])
     manifest.add_output(params["out"])
     if params["save_teacher"]:
@@ -424,15 +409,13 @@ _MACHINE_OPTS = [
     Opt("--chains", int, default=1),
     Opt("--seed", int, required=True),
     Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
-    Opt("--cold-start", is_flag=True, help="fresh random start per grid point"),
     _OUT,
 ]
 
 
 _COMMANDS = {
     ("analytic", "perceptron-entropy"): (
-        _GAUSSIAN_OPTS + [Opt("--points", int, default=201), Opt("--r-pad", float, default=1e-4),
-                          Opt("--r-grid", _float_list), _OUT],
+        _GAUSSIAN_OPTS + [Opt("--points", int, default=201), _OUT],
         _cmd_analytic_perceptron_entropy,
     ),
     ("analytic", "boltzmann-risk"): (
@@ -444,11 +427,11 @@ _COMMANDS = {
         _cmd_analytic_hebbian,
     ),
     ("analytic", "gardner"): (
-        [Opt("--alpha", float), Opt("--alpha-grid", _float_list), _OUT],
+        [Opt("--alpha-grid", _float_list, required=True), _OUT],
         _cmd_analytic_gardner,
     ),
     ("analytic", "gibbs-annealed"): (
-        [Opt("--entropy", str, required=True), Opt("--m", int), Opt("--m-grid", _int_list), _OUT],
+        [Opt("--entropy", str, required=True), Opt("--m-grid", _int_list, required=True), _OUT],
         _cmd_analytic_gibbs_annealed,
     ),
     ("simulate", "hebbian"): (
@@ -467,8 +450,7 @@ _COMMANDS = {
     ("data", "relabel"): (
         [Opt("--data", str, required=True), Opt("--kind", str, default="mlp"),
          Opt("--layer-sizes", _int_list), Opt("--teacher-weights", str),
-         Opt("--teacher-seed", int), Opt("--teacher-scale", float, default=1.0),
-         Opt("--save-teacher", str), _OUT],
+         Opt("--teacher-seed", int), Opt("--save-teacher", str), _OUT],
         _cmd_data_relabel,
     ),
     ("sample", "boltzmann-sweep"): (
@@ -498,7 +480,7 @@ def _build_parser() -> _Parser:
         if group not in seen:
             gp = groups.add_parser(group)
             seen[group] = gp.add_subparsers(dest="name", parser_class=_Parser)
-        sub = seen[group].add_parser(name)
+        sub = seen[group].add_parser(name, allow_abbrev=False)  # --alpha is not --alpha-grid
         _register(sub, opts)
     return parser
 
@@ -513,7 +495,7 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "group", None) or not getattr(args, "name", None):
-            raise UsageError("expected a command, e.g. 'analytic gardner'")
+            raise ConfigError("expected a command, e.g. 'analytic gardner'")
         opts, handler = _COMMANDS[(args.group, args.name)]
         params = _merge(args, opts)
         manifest = Manifest([args.group, args.name], params)
@@ -525,7 +507,7 @@ def dispatch(argv) -> int:
         return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (RisklabError, OSError, ValueError) as exc:

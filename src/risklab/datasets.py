@@ -12,7 +12,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
 from .perceptron import GaussianClassSpec
 from .predictors import PredictorSpec, WeightVector, predict_batch
-from .rng import as_generator
 
 __all__ = [
     "LabelledDataset",
@@ -81,7 +80,7 @@ def gen_gaussian_pair(spec: GaussianClassSpec, n: int, seed) -> LabelledDataset:
     """Draw n examples of the two-Gaussian pair: y uniform, x = (2y−1)·Δ·t + N(0, I)."""
     if n < 1:
         raise DomainError(f"need n >= 1 examples, got {n}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
     signs = 2.0 * labels - 1.0
     features = signs[:, None] * (spec.delta * spec.t)[None, :] + rng.standard_normal((n, spec.p))
@@ -153,17 +152,19 @@ def teacher_relabel(data: LabelledDataset, spec: PredictorSpec, w_star: WeightVe
     """Replace the labels with the teacher's own predictions.
 
     The resulting task is realisable by construction: the teacher weights
-    achieve empirical risk exactly zero on it.
+    achieve empirical risk exactly zero on it.  It shares ``data``'s feature
+    matrix: a copy would add a full matrix to the peak memory of
+    ``data relabel``, which drops the input right away.
     """
     labels = predict_batch(spec, w_star, data.features)
-    return LabelledDataset(data.features.copy(), labels, class_count=spec.class_count)
+    return LabelledDataset(data.features, labels, class_count=spec.class_count)
 
 
 def split(data: LabelledDataset, fraction: float, seed) -> tuple[LabelledDataset, LabelledDataset]:
     """Disjoint random partition into (⌈fraction·n⌉, rest)."""
     if not 0.0 < fraction < 1.0:
         raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     k = int(np.ceil(fraction * data.n))
     perm = rng.permutation(data.n)
     return data.subset(perm[:k]), data.subset(perm[k:])
@@ -177,11 +178,17 @@ def _fmt(value) -> str:
 
 
 def atomic_write(path, chunks):
-    """Write strings to a temp file and rename it over ``path``; on failure ``path`` is untouched."""
+    """Write strings, or one bytes object, to a temp file and rename it over ``path``.
+
+    On failure ``path`` is untouched and the temp file is removed.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.writelines(chunks)
+            if isinstance(chunks, bytes):
+                fh.buffer.write(chunks)
+            else:
+                fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -204,10 +211,30 @@ def read_table(path):
         try:
             table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"{path}: {_first_bad_line(path) or exc}") from None
     if table.shape[1] != len(header):
         raise ConfigError(f"{path}: data rows have {table.shape[1]} fields, header has {len(header)}")
     return header, table
+
+
+def _first_bad_line(path):
+    """Why the first malformed data line of ``path`` is refused (the header is line 1), or None."""
+    with open(path, "r", newline="") as fh:
+        fh.readline()
+        width = None
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            width = width or len(cells)
+            if len(cells) != width:
+                return f"line {number} has {len(cells)} fields, the first data line has {width}"
+            for cell in cells:
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"line {number}: {cell.strip()!r} is not a number"
+    return None
 
 
 def whole_numbers(path, name, column) -> np.ndarray:

@@ -52,4 +52,4 @@ class IdxTruncatedError(IdxFormatError):
 
 
 class ConfigError(RisklabError, ValueError):
-    """A run-configuration file is malformed or contains unknown keys."""
+    """A bad command line, run-configuration file or input table; the CLI exits 1 on it."""

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ChainError, DomainError
 from .predictors import UNIT_SPHERE, PredictorSpec, WeightVector, random_weights
-from .rng import as_generator, stream
+from .rng import stream
 
 __all__ = [
     "ChainConfig",
@@ -378,7 +378,7 @@ def run_chain(
     config's beta field is read as the sample count m.  Without ``initial``
     the chain starts from ``random_weights`` moved onto the unit sphere.
     """
-    rng = stream(config.seed, *seed_path) if seed_path else as_generator(config.seed)
+    rng = stream(config.seed, *seed_path)
     step, lead = _chain_step(mode, config.beta)
 
     if initial is None:

@@ -24,7 +24,7 @@ from scipy import integrate, optimize
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError, QuadratureError
-from .rng import as_generator, stream
+from .rng import stream
 
 __all__ = [
     "GaussianClassSpec",
@@ -204,7 +204,7 @@ def hebbian_asymptote(m: int, spec: GaussianClassSpec) -> float:
 
 
 def hebbian_simulate(
-    m: int, spec: GaussianClassSpec, runs: int, seed, subseed_path: tuple = ()
+    m: int, spec: GaussianClassSpec, runs: int, seed: int, subseed_path: tuple = ()
 ) -> tuple[float, float]:
     """Simulate the Hebbian rule: mean exact risk over runs and its standard error.
 
@@ -218,13 +218,9 @@ def hebbian_simulate(
         raise DomainError(f"sample count must be >= 1, got {m}")
     if runs < 2:
         raise DomainError(f"need at least 2 runs for a standard error, got {runs}")
-    if isinstance(seed, np.random.Generator):
-        run_rngs = [seed] * runs
-    else:
-        run_rngs = [stream(seed, *subseed_path, run) for run in range(runs)]
     risks = np.empty(runs)
-    for run, rng in enumerate(run_rngs):
-        rng = as_generator(rng)
+    for run in range(runs):
+        rng = stream(seed, *subseed_path, run)
         signs = 2.0 * rng.integers(0, 2, size=m) - 1.0
         noise = rng.standard_normal((m, spec.p))
         # sum_k y_k x_k = m*delta*t + sum_k y_k eta_k

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rng import as_generator
 
 __all__ = [
     "PredictorSpec",
@@ -194,7 +193,7 @@ def random_weights(spec: PredictorSpec, scale: float, seed) -> WeightVector:
     """
     if not 0 < scale < np.inf:
         raise DomainError(f"scale must be finite and > 0, got {scale}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     values = rng.normal(0.0, scale, size=weight_count(spec))
     if spec.kind == SPHERE_LINEAR:
         values = values / np.linalg.norm(values)
@@ -203,10 +202,10 @@ def random_weights(spec: PredictorSpec, scale: float, seed) -> WeightVector:
 
 
 def save_weight_vector(w: WeightVector, path):
-    """Write the flat vector as little-endian float64 with an 8-byte length header."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", w.values.shape[0]))
-        fh.write(np.asarray(w.values, dtype="<f8").tobytes())
+    """Write the flat vector as little-endian float64 with an 8-byte length header, atomically."""
+    from .datasets import atomic_write  # datasets imports this module
+
+    atomic_write(path, struct.pack("<Q", w.values.shape[0]) + np.asarray(w.values, dtype="<f8").tobytes())
 
 
 def load_weight_vector(path, constraint: str = UNCONSTRAINED) -> WeightVector:

@@ -15,7 +15,6 @@ the affected points flagged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EntropyCurve:
-    """Points (r, s) with strictly monotone r, plus the anchor that pins the gauge."""
+    """Points (r, s) with strictly monotone r; the first point is the anchor that pins the gauge."""
 
     r: np.ndarray
     s: np.ndarray
-    anchor: tuple
     pooled: np.ndarray = None
 
     def __post_init__(self):
@@ -57,14 +55,13 @@ class EntropyCurve:
         pooled = np.asarray(pooled, dtype=np.int64)
         if pooled.shape != r.shape:
             raise DomainError("pooled flags must align with the points")
-        r0, s0 = self.anchor
-        i0 = int(np.argmin(np.abs(r - r0)))
-        if not (math.isclose(r[i0], r0) and s[i0] == s0):
-            raise DomainError("anchor must coincide with one of the points")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "pooled", pooled)
-        object.__setattr__(self, "anchor", (float(r0), float(s0)))
+
+    @property
+    def anchor(self) -> tuple:
+        return float(self.r[0]), float(self.s[0])
 
     @property
     def size(self) -> int:
@@ -105,11 +102,6 @@ def reconstruct(curve: BoltzmannCurve, anchor_s0: float = 0.0) -> EntropyCurve:
     if not np.isfinite(betas).all():
         raise DomainError(f"betas must be finite, got {betas.tolist()}")
     risks = curve.risks
-    if betas.size == 1:
-        # nothing beyond the anchor: the curve is the anchor alone
-        return EntropyCurve(
-            r=risks[:1], s=np.array([anchor_s0]), anchor=(float(risks[0]), float(anchor_s0))
-        )
     pooled_risks = pool_non_increasing(risks)
     pooled_flag = (np.abs(pooled_risks - risks) > 1e-15).astype(np.int64)
     increments = 0.5 * (betas[1:] + betas[:-1]) * np.diff(pooled_risks)
@@ -122,8 +114,7 @@ def reconstruct(curve: BoltzmannCurve, anchor_s0: float = 0.0) -> EntropyCurve:
         run_id = np.cumsum(keep) - 1
         flag_out = np.zeros(r_out.size, dtype=np.int64)
         np.maximum.at(flag_out, run_id, pooled_flag)
-    return EntropyCurve(r=r_out, s=s_out, anchor=(float(r_out[0]), float(anchor_s0)),
-                        pooled=flag_out)
+    return EntropyCurve(r=r_out, s=s_out, pooled=flag_out)
 
 
 def quadratic_fit(curve: EntropyCurve) -> tuple[float, float, float, float]:

@@ -1,31 +1,23 @@
 """Deterministic stream splitting from a single master seed.
 
-Every randomised routine in the package takes either an integer seed or a
-``numpy.random.Generator``.  Integer seeds are expanded through
-:func:`stream`, which derives independent child streams from a master seed
-and a path of integers.  The path is hashed into the ``spawn_key`` of a
-``SeedSequence``, so stream ``(seed, 3, 7)`` is always the same generator
-no matter how many other streams exist: adding chains or runs never
-perturbs previously assigned streams.
+Routines that draw from one stream (data generation, splits, random
+weights) take an integer seed or a ``numpy.random.Generator``, as
+``numpy.random.default_rng`` does.  Chains and simulations derive their
+streams through :func:`stream`, which maps a master seed and a path of
+integers to an independent child stream.  The path is hashed into the
+``spawn_key`` of a ``SeedSequence``, so stream ``(seed, 3, 7)`` is always
+the same generator no matter how many other streams exist: adding chains
+or runs never perturbs previously assigned streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream", "as_generator"]
+__all__ = ["stream"]
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
     """Return the child generator for ``path`` under ``master_seed``."""
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(ss)
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(int(seed))

@@ -35,7 +35,7 @@ class TestDispatchContracts:
 
     def test_gardner_asymptote_row(self, tmp_path):
         out = tmp_path / "gardner.csv"
-        code = dispatch(["analytic", "gardner", "--alpha", "100", "--out", str(out)])
+        code = dispatch(["analytic", "gardner", "--alpha-grid", "100", "--out", str(out)])
         assert code == 0
         header, rows = read_rows(out)
         assert header == ["alpha", "q", "r", "r_times_alpha"]
@@ -54,7 +54,7 @@ class TestDispatchContracts:
 
     def test_runtime_error_exits_two(self, tmp_path):
         code = dispatch(["analytic", "gibbs-annealed", "--entropy",
-                         str(tmp_path / "missing.csv"), "--m", "10",
+                         str(tmp_path / "missing.csv"), "--m-grid", "10",
                          "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
@@ -65,12 +65,54 @@ class TestDispatchContracts:
                          "--out", str(tmp_path / "fit.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, message", [
+        (["sample", "boltzmann-sweep", "--machine", "svm", "--data", "{data}", "--beta-grid", "0,1",
+          "--seed", "1"], "unknown machine"),
+        (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--delta", "2",
+          "--beta-grid", "0,1", "--seed", "1"], "needs --p and --delta"),
+        (["sample", "annealed", "--machine", "perceptron-exact", "--p", "5", "--m-grid", "0,1",
+          "--seed", "1"], "needs --p and --delta"),
+        (["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--beta-grid", "0,1",
+          "--seed", "1"], "needs --data"),
+        (["sample", "annealed", "--machine", "mlp", "--data", "{data}", "--m-grid", "0,1",
+          "--seed", "1"], "needs --layer-sizes"),
+        (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear"],
+         "need --teacher-weights or --teacher-seed"),
+        (["analytic", "gardner"], "--alpha-grid"),
+    ], ids=["unknown-machine", "exact-without-p", "exact-without-delta", "linear-without-data",
+            "mlp-without-layer-sizes", "relabel-without-teacher", "gardner-without-grid"])
+    def test_handler_usage_error_exits_one(self, tmp_path, capsys, command, message):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n")
+        out = tmp_path / "out.csv"
+        assert dispatch([a.format(data=data_csv) for a in command] + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["analytic", "perceptron-entropy", "--p", "5", "--delta", "1"], ["--r-pad", "0.1"]),
+        (["analytic", "perceptron-entropy", "--p", "5", "--delta", "1"], ["--r-grid", "0.3"]),
+        (["analytic", "gardner", "--alpha-grid", "10"], ["--alpha", "100"]),
+        (["analytic", "gibbs-annealed", "--entropy", "e.csv", "--m-grid", "10"], ["--m", "10"]),
+        (["data", "relabel", "--data", "d.csv", "--teacher-seed", "1"], ["--teacher-scale", "2"]),
+        (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "5", "--delta", "1",
+          "--beta-grid", "0", "--seed", "1"], ["--cold-start"]),
+        (["sample", "annealed", "--machine", "perceptron-exact", "--p", "5", "--delta", "1",
+          "--m-grid", "0", "--seed", "1"], ["--cold-start"]),
+    ], ids=["r-pad", "r-grid", "alpha", "m", "teacher-scale", "sweep-cold-start",
+            "annealed-cold-start"])
+    def test_deleted_option_is_unrecognised(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out.csv"
+        assert dispatch(command + flag + ["--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0
 
     @pytest.mark.parametrize("command, text", [
         pytest.param(["fit", "quadratic", "--entropy"], "r,s\n", id="fit-header-only"),
-        pytest.param(["analytic", "gibbs-annealed", "--m", "10", "--entropy"], "r,s\n",
+        pytest.param(["analytic", "gibbs-annealed", "--m-grid", "10", "--entropy"], "r,s\n",
                      id="gibbs-header-only"),
         pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1\n",
                      id="reconstruct-short-row"),
@@ -80,7 +122,7 @@ class TestDispatchContracts:
                      id="reconstruct-non-numeric"),
         pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.9,0\n0.8,abc\n0.7,-2\n0.6,-3\n",
                      id="fit-non-numeric"),
-        pytest.param(["analytic", "gibbs-annealed", "--m", "10", "--entropy"],
+        pytest.param(["analytic", "gibbs-annealed", "--m-grid", "10", "--entropy"],
                      "r,s\n0.9,0\nabc,-1\n0.7,-2\n", id="gibbs-non-numeric"),
     ] + [
         pytest.param(command, text, id=f"{name}-{case}")

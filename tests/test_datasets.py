@@ -153,6 +153,10 @@ class TestTeacherRelabel:
         relabeled = teacher_relabel(data, spec, teacher)
         assert (relabeled.features == data.features).all()
 
+    def test_features_shared_not_copied(self):
+        spec, data, teacher = self._setup()
+        assert teacher_relabel(data, spec, teacher).features is data.features
+
 
 class TestSplit:
     def test_sizes_and_disjointness(self):
@@ -235,6 +239,20 @@ class TestCsv:
         back = dataset_from_csv(path)
         assert back.features.tolist() == [[1.5], [-2.5]]
         assert back.labels.tolist() == [0, 1]
+
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("label,f0,f1\n\n0,abc,1\n", 3, "'abc' is not a number"),
+        ("label,f0,f1\n0,1,2\n\n\n1,,4\n", 5, "'' is not a number"),
+        ("label,f0,f1\n0,1,2\n\n1\n", 4, "1 fields, the first data line has 3"),
+    ], ids=["blank-then-non-numeric", "empty-cell", "short-row"])
+    def test_malformed_row_named_by_file_line(self, tmp_path, text, line, reason):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"line {line}") as info:
+            dataset_from_csv(path)
+        assert reason in str(info.value)
+        assert "usecols" not in str(info.value)
 
 
 class TestValidation:

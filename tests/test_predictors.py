@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ class TestSerialization:
         raw = path.read_bytes()
         assert raw[:8] == (2).to_bytes(8, "little")
         assert len(raw) == 8 + 16
+
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.bin"
+        save_weight_vector(WeightVector(np.array([1.5, -2.5])), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_weight_vector(WeightVector(np.array([3.0, 4.0, 5.0])), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["w.bin"]
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "w.bin"

@@ -156,14 +156,13 @@ class TestQuadraticFit:
     def test_exact_on_quadratic(self):
         r = np.linspace(0.2, 0.9, 9)
         s = 1.0 - 2.0 * r + 3.0 * r * r
-        curve = EntropyCurve(r=r, s=s, anchor=(float(r[0]), float(s[0])))
+        curve = EntropyCurve(r=r, s=s)
         c0, c1, c2, rms = quadratic_fit(curve)
         assert (c0, c1, c2) == pytest.approx((1.0, -2.0, 3.0), abs=1e-10)
         assert rms <= 1e-12
 
     def test_two_points_rejected(self):
-        curve = EntropyCurve(r=np.array([0.9, 0.8]), s=np.array([0.0, -1.0]),
-                             anchor=(0.9, 0.0))
+        curve = EntropyCurve(r=np.array([0.9, 0.8]), s=np.array([0.0, -1.0]))
         with pytest.raises(FitError):
             quadratic_fit(curve)
 
@@ -205,8 +204,4 @@ class TestPredictedAnnealedRisk:
 class TestEntropyCurveValidation:
     def test_strict_monotonicity_enforced(self):
         with pytest.raises(DomainError):
-            EntropyCurve(r=np.array([0.9, 0.9, 0.7]), s=np.zeros(3), anchor=(0.9, 0.0))
-
-    def test_anchor_must_be_a_point(self):
-        with pytest.raises(DomainError):
-            EntropyCurve(r=np.array([0.9, 0.8]), s=np.array([0.0, -1.0]), anchor=(0.85, 0.0))
+            EntropyCurve(r=np.array([0.9, 0.9, 0.7]), s=np.zeros(3))
