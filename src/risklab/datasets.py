@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import struct
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
+from .mcmc import fork_workers, forked_map
 from .perceptron import GaussianClassSpec
 from .predictors import PredictorSpec, WeightVector, predict_batch
 
@@ -170,11 +173,34 @@ def split(data: LabelledDataset, fraction: float, seed) -> tuple[LabelledDataset
     return data.subset(perm[:k]), data.subset(perm[k:])
 
 
+FLOAT_CELL = "%.17g"  # 17 significant digits: exact for doubles
+
+
 def _fmt(value) -> str:
-    """A CSV cell: integers as such, other numbers with 17 digits (exact for doubles)."""
+    """A CSV cell: integers as such, other numbers as :data:`FLOAT_CELL`."""
     if isinstance(value, float) or not isinstance(value, (bool, np.bool_, int, np.integer)):
-        return f"{float(value):.17g}"
+        return FLOAT_CELL % float(value)
     return str(int(value))
+
+
+def _temp_name(path) -> str:
+    return f"{path}.tmp.{os.getpid()}"
+
+
+@contextmanager
+def _atomic_file(path):
+    """A text file open on a temp name, renamed over ``path`` when the block succeeds.
+
+    On failure ``path`` is untouched and the temp file is removed.
+    """
+    tmp = _temp_name(path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def atomic_write(path, chunks):
@@ -182,17 +208,11 @@ def atomic_write(path, chunks):
 
     On failure ``path`` is untouched and the temp file is removed.
     """
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            if isinstance(chunks, bytes):
-                fh.buffer.write(chunks)
-            else:
-                fh.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with _atomic_file(path) as fh:
+        if isinstance(chunks, bytes):
+            fh.buffer.write(chunks)
+        else:
+            fh.writelines(chunks)
 
 
 def write_csv(path, header, rows):
@@ -248,9 +268,47 @@ def whole_numbers(path, name, column) -> np.ndarray:
 
 
 def dataset_to_csv(data: LabelledDataset, path):
-    """CSV export with header ``label,f0,f1,...``."""
-    write_csv(path, ["label"] + [f"f{j}" for j in range(data.feature_dim)],
-              ([y] + row.tolist() for y, row in zip(data.labels.tolist(), data.features)))
+    """CSV export with header ``label,f0,f1,...``, written atomically.
+
+    The bytes are those :func:`write_csv` writes for the rows ``[label,
+    *features]``, but each row is one ``%`` template filled at C speed.  The
+    rows are cut into ``fork_workers(n)`` contiguous ranges (the count is
+    capped by ``RISKLAB_THREADS``).  Forked workers write every range but
+    the first to a part file each while this process writes the header and
+    the first range to the temp file; it then appends the parts in order and
+    renames the temp file over ``path``.  A failure in any process raises
+    here, leaves ``path`` untouched and removes the temp and part files.
+    """
+    n, p = data.features.shape
+    row = "%d" + f",{FLOAT_CELL}" * p + "\n"
+    ranges = fork_workers(n)
+    parts = [f"{_temp_name(path)}.part{k}" for k in range(1, ranges)]
+
+    def rows(k):
+        start, stop = n * k // ranges, n * (k + 1) // ranges
+        for y, x in zip(data.labels[start:stop].tolist(), data.features[start:stop]):
+            yield row % (y, *x.tolist())
+
+    def write_part(k):
+        with open(parts[k - 1], "w", newline="") as fh:
+            fh.writelines(rows(k))
+
+    try:
+        # the workers fork before the temp file opens, so they inherit no unflushed buffer
+        with (forked_map(write_part, range(1, ranges), ranges - 1) if parts else nullcontext()) as pending, \
+                _atomic_file(path) as fh:
+            fh.write(",".join(["label"] + [f"f{j}" for j in range(p)]) + "\n")
+            fh.writelines(rows(0))
+            if parts:
+                pending.get()
+                fh.flush()
+                for part in parts:
+                    with open(part, "rb") as src:
+                        shutil.copyfileobj(src, fh.buffer, 1 << 20)
+    finally:
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
 
 
 def dataset_from_csv(path, class_count: int | None = None) -> LabelledDataset:

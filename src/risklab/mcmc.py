@@ -23,7 +23,9 @@ every later step.
 A sweep with more than one chain runs its lanes in forked worker processes,
 up to ``worker_count()`` of them.  The risk callables reach the workers
 through the fork, so they need not be picklable; only lane indices go out
-and ``ChainResult`` lists come back.
+and ``ChainResult`` lists come back.  ``fork_workers`` and ``forked_map``
+own that rule and that pool; :func:`risklab.datasets.dataset_to_csv` uses
+them too.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import multiprocessing
 import os
 import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChainError, DomainError
+from .errors import ChainError, ConfigError, DomainError
 from .predictors import UNIT_SPHERE, PredictorSpec, WeightVector, random_weights
 from .rng import stream
 
@@ -56,15 +59,67 @@ __all__ = [
     "boltzmann_sweep",
     "sample_without_replacement",
     "worker_count",
+    "fork_workers",
+    "forked_map",
 ]
 
 
 def worker_count() -> int:
-    """Worker-process cap for concurrent chains: RISKLAB_THREADS or the machine's count."""
+    """Worker-process cap for sweep chains and dataset-CSV writes.
+
+    ``RISKLAB_THREADS`` when set (0 or a negative value means one worker),
+    else the machine's CPU count.  A value that is not an integer raises
+    ConfigError.
+    """
     env = os.environ.get("RISKLAB_THREADS")
-    if env:
+    if not env:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ConfigError(f"RISKLAB_THREADS must be an integer, got {env!r}") from None
+
+
+def fork_workers(tasks: int) -> int:
+    """How many processes to run ``tasks`` independent tasks in: min(worker_count(), tasks).
+
+    It is 1, meaning the caller runs them itself, unless there are at least
+    two workers, the platform can fork and the caller is not a daemonic
+    worker, which may not have children.
+    """
+    workers = min(worker_count(), tasks)
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return workers
+
+
+_task_fn = None  # the pool's task function in a forked worker
+
+
+def _start_worker(task_fn):
+    """Pool initializer: keep the task function; leave Ctrl-C to the parent, which ends the pool."""
+    global _task_fn
+    _task_fn = task_fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_task(item):
+    return _task_fn(item)
+
+
+@contextmanager
+def forked_map(task_fn, items, workers: int):
+    """Start ``task_fn`` on each of ``items`` in ``workers`` forked processes.
+
+    Yields the pending result, whose ``get()`` returns the results in order
+    or raises a worker's exception.  ``task_fn`` reaches the workers through
+    the fork, so it may be a closure; only the items and the results are
+    pickled.  Leaving the block terminates and joins the workers, on
+    success, error or Ctrl-C.
+    """
+    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (task_fn,)) as pool:
+        yield pool.map_async(_run_task, items, chunksize=1)
 
 
 @dataclass(frozen=True)
@@ -434,20 +489,6 @@ def run_chain(
     )
 
 
-_lane_fn = None  # the sweep's lane function in a forked worker
-
-
-def _start_worker(lane_fn):
-    """Pool initializer: keep the lane function; leave Ctrl-C to the parent, which ends the pool."""
-    global _lane_fn
-    _lane_fn = lane_fn
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _run_lane(lane: int) -> list:
-    return _lane_fn(lane)
-
-
 def boltzmann_sweep(
     beta_grid,
     base_config: ChainConfig,
@@ -465,10 +506,10 @@ def boltzmann_sweep(
     state (a cheap annealing schedule); cold starts exist for equilibration
     cross-checks.  Chains are independent lanes with their own seed paths,
     so where they run never changes any result.  With more than one chain
-    they run in up to ``worker_count()`` forked worker processes; one
-    worker, a platform without fork, or a caller that is itself a daemonic
-    worker runs them in the calling thread.  Every grid point's settings
-    are checked before any chain runs.
+    they run in ``fork_workers(n_chains)`` forked worker processes; when
+    that is 1 (one worker, a platform without fork, or a caller that is
+    itself a daemonic worker) they run in the calling thread.  Every grid
+    point's settings are checked before any chain runs.
     """
     beta_grid = [float(b) for b in beta_grid]
     if any(not b2 > b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):  # refuses NaN too
@@ -489,14 +530,12 @@ def boltzmann_sweep(
                 warm = res.final_state.w
         return results
 
-    workers = min(worker_count(), n_chains)
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):  # a daemonic worker may not fork
-        workers, lanes = 1, [run_lane(lane) for lane in range(n_chains)]
+    workers = fork_workers(n_chains)
+    if workers == 1:
+        lanes = [run_lane(lane) for lane in range(n_chains)]
     else:
-        # leaving the block terminates and joins the workers, on success, error or Ctrl-C
-        with multiprocessing.get_context("fork").Pool(workers, _start_worker, (run_lane,)) as pool:
-            lanes = pool.map(_run_lane, range(n_chains), chunksize=1)
+        with forked_map(run_lane, range(n_chains), workers) as pending:
+            lanes = pending.get()
 
     points = []
     for bi, beta in enumerate(beta_grid):

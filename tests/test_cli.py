@@ -58,6 +58,18 @@ class TestDispatchContracts:
                          "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "5", "--seed", "1"],
+        ["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "3", "--delta", "2",
+         "--beta-grid", "0,1", "--chains", "2", "--burn-in", "5", "--samples", "5", "--seed", "1"],
+    ], ids=["gen-gaussian", "sweep"])
+    def test_malformed_worker_cap_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("RISKLAB_THREADS", "abc")
+        out = tmp_path / "o.csv"
+        assert dispatch(command + ["--out", str(out)]) == 1
+        assert "RISKLAB_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_error_exits_two(self, tmp_path):
         entropy = tmp_path / "e.csv"
         entropy.write_text("r,s\n0.9,0\n0.8,-1\n")  # too few points for a quadratic

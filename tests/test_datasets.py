@@ -1,3 +1,6 @@
+import errno
+import multiprocessing
+import os
 import struct
 import warnings
 
@@ -20,6 +23,7 @@ from risklab import (
     teacher_relabel,
     write_idx,
 )
+import risklab.datasets as datasets
 from risklab.datasets import dataset_from_csv, dataset_to_csv, write_csv
 from risklab.errors import (
     ConfigError,
@@ -216,14 +220,49 @@ class TestCsv:
                            elements=st.floats(allow_nan=False, allow_infinity=False)))
     @example(features=np.array([[-0.0]]))
     @example(features=np.array([[5e-324, -2.2250738585072009e-308, -0.0, 1.7976931348623157e308]]))
+    @example(features=np.array([[0.1, -0.1], [1.0, 0.1], [0.1, 2.5]]))
     def test_any_finite_matrix_round_trips_bit_exactly(self, tmp_path_factory, features):
-        path = tmp_path_factory.mktemp("csv") / "d.csv"
-        labels = np.arange(features.shape[0]) % 2
-        dataset_to_csv(LabelledDataset(features, labels, 2), path)
-        back = dataset_from_csv(path, class_count=2)
+        folder = tmp_path_factory.mktemp("csv")
+        path, generic = folder / "d.csv", folder / "generic.csv"
+        labels = np.arange(features.shape[0]) * 5 % 12  # 0, 5, 10, 3, ...: labels >= 2 too
+        dataset_to_csv(LabelledDataset(features, labels, 12), path)
+        back = dataset_from_csv(path, class_count=12)
         assert back.features.flags.c_contiguous
         assert (back.features.view(np.int64) == features.view(np.int64)).all()
         assert (back.labels == labels).all()
+        # the row template writes what the generic cell formatter writes
+        write_csv(generic, ["label"] + [f"f{j}" for j in range(features.shape[1])],
+                  ([y, *row] for y, row in zip(labels, features)))
+        assert path.read_text() == generic.read_text()
+
+    @pytest.mark.parametrize("n, threads", [(1, "2"), (2, "4"), (3, "4"), (7, "2"), (40, "3")])
+    def test_split_write_matches_one_process(self, tmp_path, monkeypatch, n, threads):
+        data = gen_gaussian_pair(GaussianClassSpec(3, 1.0), n, seed=15)
+        monkeypatch.setenv("RISKLAB_THREADS", "1")
+        dataset_to_csv(data, tmp_path / "one.csv")
+        monkeypatch.setenv("RISKLAB_THREADS", threads)
+        dataset_to_csv(data, tmp_path / "split.csv")
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv", "split.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_write_error_reaches_caller(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def failing_open(file, *args, **kwargs):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return open(file, *args, **kwargs)
+
+        path = tmp_path / "d.csv"
+        path.write_text("old\n")
+        monkeypatch.setattr(datasets, "open", failing_open, raising=False)
+        monkeypatch.setenv("RISKLAB_THREADS", "3")
+        with pytest.raises(OSError, match="No space left"):
+            dataset_to_csv(gen_gaussian_pair(GaussianClassSpec(3, 1.0), 30, seed=16), path)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+        assert multiprocessing.active_children() == []
 
     def test_header_only_refused_without_warning(self, tmp_path):
         path = tmp_path / "d.csv"
