@@ -295,12 +295,12 @@ def dataset_to_csv(data: LabelledDataset, path):
 
     try:
         # the workers fork before the temp file opens, so they inherit no unflushed buffer
-        with (forked_map(write_part, range(1, ranges), ranges - 1) if parts else nullcontext()) as pending, \
+        with (forked_map(write_part, range(1, ranges), ranges - 1) if parts else nullcontext()) as results, \
                 _atomic_file(path) as fh:
             fh.write(",".join(["label"] + [f"f{j}" for j in range(p)]) + "\n")
             fh.writelines(rows(0))
             if parts:
-                pending.get()
+                results()
                 fh.flush()
                 for part in parts:
                     with open(part, "rb") as src:

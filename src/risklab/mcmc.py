@@ -1,8 +1,8 @@
 """Markov-chain Monte Carlo over weight space.
 
 Chains target either the Boltzmann weight e^{−β·R(w)} (``metropolis_step``)
-or the annealed posterior (1 − R(w))^m (``annealed_step``), with a compound
-minibatch proposal available for expensive risks.  Every move is one
+or the annealed posterior (1 − R(w))^m (``annealed_step``), with an exact
+compound minibatch proposal available for expensive risks.  Every move is one
 propose → risk → finite check → accept → count step; only its acceptance
 rule, Boltzmann or annealed, depends on the target.  Acceptance always uses
 the acceptance risk callable while the recorded "report" risk may come from
@@ -11,7 +11,8 @@ the number the chain optimises.
 
 A chain given no start walks the unit sphere, whatever the machine's weight
 constraint: an unbounded space has no flat reference measure, so a β = 0
-chain would diffuse instead of equilibrating.
+chain would diffuse instead of equilibrating.  That is also why a
+calibrated scale stops at ``MAX_SCALE`` = π.
 
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
@@ -22,10 +23,10 @@ every later step.
 
 A sweep with more than one chain runs its lanes in forked worker processes,
 up to ``worker_count()`` of them.  The risk callables reach the workers
-through the fork, so they need not be picklable; only lane indices go out
-and ``ChainResult`` lists come back.  ``fork_workers`` and ``forked_map``
-own that rule and that pool; :func:`risklab.datasets.dataset_to_csv` uses
-them too.
+through the fork, so they need not be picklable; only ``ChainResult`` lists
+come back, down one pipe per worker.  ``fork_workers`` and ``forked_map``
+own that rule and those processes; :func:`risklab.datasets.dataset_to_csv`
+uses them too.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import signal
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
-from .errors import ChainError, ConfigError, DomainError
+from .errors import ChainError, ConfigError, DomainError, RisklabError
 from .predictors import UNIT_SPHERE, PredictorSpec, WeightVector, random_weights
 from .rng import stream
 
@@ -94,32 +96,85 @@ def fork_workers(tasks: int) -> int:
     return workers
 
 
-_task_fn = None  # the pool's task function in a forked worker
-
-
-def _start_worker(task_fn):
-    """Pool initializer: keep the task function; leave Ctrl-C to the parent, which ends the pool."""
-    global _task_fn
-    _task_fn = task_fn
+def _serve(task_fn, chunk, conn):
+    """Worker body: send ``(True, [(index, result), ...])`` or ``(False, exception)``; leave Ctrl-C to the caller."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        reply = True, [(index, task_fn(item)) for index, item in chunk]
+    except Exception as exc:
+        reply = False, exc
+    conn.send(reply)
 
 
-def _run_task(item):
-    return _task_fn(item)
+def _died(proc):
+    proc.join()
+    return RisklabError(f"worker process {proc.pid} exited with code {proc.exitcode} "
+                        "before returning its results")
+
+
+def _gather(procs, conns, size):
+    """Results of every worker in item order, received in the calling thread.
+
+    Waits on the result pipes and the worker sentinels together.  A worker
+    that exits without a reply died without raising (a signal, the OOM
+    killer, ``os._exit``); that raises RisklabError instead of waiting for
+    results that will never come.
+    """
+    results = [None] * size
+    live = dict(zip(conns, procs))
+    while live:
+        ready = wait([*live, *(proc.sentinel for proc in live.values())])
+        for conn, proc in list(live.items()):
+            if conn.poll():  # a reply, or the EOF of a worker that died
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    ok, value = False, _died(proc)
+            elif proc.sentinel in ready:
+                ok, value = False, _died(proc)
+            else:
+                continue
+            if not ok:
+                raise value
+            for index, result in value:
+                results[index] = result
+            del live[conn]
+    return results
 
 
 @contextmanager
 def forked_map(task_fn, items, workers: int):
     """Start ``task_fn`` on each of ``items`` in ``workers`` forked processes.
 
-    Yields the pending result, whose ``get()`` returns the results in order
-    or raises a worker's exception.  ``task_fn`` reaches the workers through
-    the fork, so it may be a closure; only the items and the results are
-    pickled.  Leaving the block terminates and joins the workers, on
-    success, error or Ctrl-C.
+    Yields a function that returns the results in item order, re-raises a
+    worker's exception, and raises RisklabError if a worker dies before
+    returning its results.  Worker k takes items k, k + workers, ... and
+    sends their results, or its first exception, down its own pipe.
+    ``task_fn`` and the items reach the workers through the fork, so they
+    may be closures; only the results are pickled.  Workers ignore Ctrl-C;
+    leaving the block terminates and joins them, on success, error or
+    Ctrl-C.
     """
-    with multiprocessing.get_context("fork").Pool(workers, _start_worker, (task_fn,)) as pool:
-        yield pool.map_async(_run_task, items, chunksize=1)
+    ctx = multiprocessing.get_context("fork")
+    indexed = list(enumerate(items))
+    chunks = [indexed[k::workers] for k in range(workers)]
+    procs, conns = [], []
+    try:
+        for chunk in chunks:
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_serve, args=(task_fn, chunk, send), daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()  # the worker holds the only write end, so its death reads as EOF
+        yield lambda: _gather(procs, conns, len(indexed))
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 @dataclass(frozen=True)
@@ -231,16 +286,19 @@ def propose(w: WeightVector, scale: float, rng) -> WeightVector:
 
     On the sphere the induced proposal density depends only on the angle
     between the two points, so it stays symmetric after renormalisation.
+    The step is built in the array of normals it draws, which rounds exactly
+    as ``(w + z·scale) / |w + z·scale|`` does.
     """
-    values = w.values
-    if values.shape[0] == 1:
+    if w.values.shape[0] == 1:
         # single-parameter chains (enumerable toy spaces) are hot enough that
         # skipping the vector dispatches matters
-        values = np.array([values[0] + rng.standard_normal() * scale])
+        values = np.array([w.values[0] + rng.standard_normal() * scale])
     else:
-        values = values + rng.standard_normal(values.shape[0]) * scale
+        values = rng.standard_normal(w.values.shape[0])
+        values *= scale
+        values += w.values
     if w.constraint == UNIT_SPHERE:
-        values = values / math.sqrt(float(values @ values))
+        values /= math.sqrt(float(values @ values))
     return WeightVector(values, w.constraint)
 
 
@@ -327,13 +385,16 @@ def minibatch_proposal_step(
     rng,
     n_examples: int | None = None,
 ) -> ChainState:
-    """Compound proposal: n_inner minibatch Metropolis moves, then a full-risk test.
+    """Compound proposal: n_inner Metropolis moves on one minibatch, then a full-risk test.
 
-    Inner moves compare the proposal's risk on a fresh minibatch (drawn
-    without replacement) against the current chain of approximate risks,
-    which starts from the full-data risk of the entry state.  The outer test
-    accepts the end point w_n if R(w_n) ≤ R_B_n(w_n), else with probability
-    e^{−β(R(w_n) − R_B_n(w_n))}; a rejection reverts to the entry state.
+    One subset B of the examples is drawn without replacement per call, and
+    the inner moves are Boltzmann moves on its risk R_B, starting from R_B
+    at the entry state w_0.  Being reversible for e^{−β·R_B}, they make a
+    proposal whose exact outer test is the surrogate-transition ratio
+    (Liu 2001; Christen & Fox 2005): the end point w_n is accepted with
+    probability min(1, e^{−β[(R(w_n) − R_B(w_n)) − (R(w_0) − R_B(w_0))]}),
+    so the chain targets e^{−β·R} without bias.  A rejection reverts to w_0;
+    an inner chain that never moved is accepted without a coin.
     """
     if n_inner < 1:
         raise DomainError(f"n_inner must be >= 1, got {n_inner}")
@@ -344,20 +405,26 @@ def minibatch_proposal_step(
     if batch_size > n_examples:
         raise DomainError(f"batch_size {batch_size} exceeds dataset size {n_examples}")
     beta = config.beta
-    inner = ChainState(state.w, state.current_acceptance_risk)
+    batch = sample_without_replacement(rng, n_examples, batch_size)
+
+    def batch_risk(w):
+        return minibatch_risk_fn(w, batch)
+
+    inner = ChainState(state.w, batch_risk(state.w))
+    if not math.isfinite(inner.current_acceptance_risk):
+        _check_finite(inner.current_acceptance_risk, state)
+    entry_gap = state.current_acceptance_risk - inner.current_acceptance_risk
     for _ in range(n_inner):
-        batch = sample_without_replacement(rng, n_examples, batch_size)
-        _step(inner, config.proposal_scale, lambda w: minibatch_risk_fn(w, batch), rng,
-              _boltzmann, beta)
+        _step(inner, config.proposal_scale, batch_risk, rng, _boltzmann, beta)
     state.steps_taken += 1
     if not inner.accepts:
-        # identity proposal: outer test compares the entry risk with itself
+        # identity proposal: the outer ratio is exactly 1
         state.accepts += 1
         return state
     r_full = full_risk_fn(inner.w)
     if not math.isfinite(r_full):
         _check_finite(r_full, state)
-    if _boltzmann(r_full, inner.current_acceptance_risk, beta, rng):
+    if _boltzmann(r_full - inner.current_acceptance_risk, entry_gap, beta, rng):
         state.w = inner.w
         state.current_acceptance_risk = r_full
         state.accepts += 1
@@ -382,23 +449,37 @@ def _batch_means(values: np.ndarray) -> tuple[float, float]:
     return float(stderr), float(min(ess, n))
 
 
+# cap of the calibrated scale: on the unit sphere, where every chain without a
+# given start walks, a Gaussian step this large already lands almost uniformly
+MAX_SCALE = math.pi
+
+
 def _calibrate_scale(state, config, advance, target=(0.2, 0.4), rounds=25, probe=100):
     """Pre-burn-in scale search aiming for an acceptance rate inside ``target``.
 
-    Returns (scale, True) once a probe's rate lands in ``target``, else the
-    last scale and False when the rounds run out.
+    Each round probes ``probe`` steps, then shrinks the scale ×0.7 below the
+    band or grows it ×1.4, never past ``MAX_SCALE``, above it.  Returns
+    (scale, True) once a probe's rate lands in ``target``.  It returns
+    (MAX_SCALE, False) without probing for a flat target (β or m = 0, where
+    every move is accepted), (MAX_SCALE, False) at the first probe at the
+    cap whose rate is still above the band, and the last scale and False
+    when the rounds run out.
     """
-    scale = config.proposal_scale
+    if config.beta == 0:
+        return MAX_SCALE, False
+    scale = min(config.proposal_scale, MAX_SCALE)
     for _ in range(rounds):
         before = state.accepts
         advance(replace(config, proposal_scale=scale), probe)
         rate = (state.accepts - before) / probe
         if rate < target[0]:
             scale *= 0.7
-        elif rate > target[1]:
-            scale *= 1.4
-        else:
+        elif rate <= target[1]:
             return scale, True
+        elif scale == MAX_SCALE:
+            return scale, False
+        else:
+            scale = min(scale * 1.4, MAX_SCALE)
     return scale, False
 
 
@@ -432,6 +513,9 @@ def run_chain(
     The report risk is evaluated only at record time.  In annealed mode the
     config's beta field is read as the sample count m.  Without ``initial``
     the chain starts from ``random_weights`` moved onto the unit sphere.
+    With ``calibrate`` the proposal scale is first searched for by
+    ``_calibrate_scale`` (at most ``MAX_SCALE``; no probes for a flat
+    target), and its probe steps are counted apart from ``steps``.
     """
     rng = stream(config.seed, *seed_path)
     step, lead = _chain_step(mode, config.beta)
@@ -534,8 +618,8 @@ def boltzmann_sweep(
     if workers == 1:
         lanes = [run_lane(lane) for lane in range(n_chains)]
     else:
-        with forked_map(run_lane, range(n_chains), workers) as pending:
-            lanes = pending.get()
+        with forked_map(run_lane, range(n_chains), workers) as results:
+            lanes = results()
 
     points = []
     for bi, beta in enumerate(beta_grid):
