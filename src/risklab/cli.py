@@ -221,9 +221,18 @@ def _gaussian(params) -> GaussianClassSpec:
     return GaussianClassSpec(params["p"], params["delta"])
 
 
+def _refuse(params, machine, dests):
+    """Refuse the first of ``dests`` that was given, because ``machine`` does not read it."""
+    for dest in dests:
+        if params[dest] is not None:
+            raise ConfigError(f"{machine} takes no --{dest.replace('_', '-')}")
+
+
 def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
     """Spec of a dataset-backed machine named on the command line."""
     if kind == "sphere-linear":
+        if layer_sizes is not None:
+            raise ConfigError("sphere-linear takes no --layer-sizes")
         return PredictorSpec(kind="sphere_linear", input_dim=input_dim)
     if kind == "mlp":
         if not layer_sizes:
@@ -236,6 +245,7 @@ def _build_machine(params, manifest):
     """(spec, acceptance risk, report risk) of ``--machine``."""
     machine = params["machine"]
     if machine == "perceptron-exact":
+        _refuse(params, machine, ("data", "layer_sizes"))
         if params["p"] is None or params["delta"] is None:
             raise ConfigError("perceptron-exact needs --p and --delta")
         delta = params["delta"]
@@ -245,6 +255,7 @@ def _build_machine(params, manifest):
             return float(ndtr(-delta * w.values[0]))
 
         return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
+    _refuse(params, machine, ("p", "delta"))
     if params["data"] is None:
         raise ConfigError(f"{machine} needs --data")
     data = dataset_from_csv(params["data"])

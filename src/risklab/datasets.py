@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
 from .mcmc import fork_workers, forked_map
 from .perceptron import GaussianClassSpec
-from .predictors import PredictorSpec, WeightVector, predict_batch
+from .predictors import PredictorSpec, WeightVector, augmented_t, predict_batch
 
 __all__ = [
     "LabelledDataset",
@@ -59,14 +59,17 @@ class LabelledDataset:
 
     @property
     def features_t(self) -> np.ndarray:
-        """Contiguous feature-major copy (p × n) of ``features``, built on first use.
+        """Contiguous feature-major copy of ``features`` over a last row of ones.
 
-        The copy is rebuilt whenever ``features`` has been replaced, so it
-        cannot go stale.  Forked chain workers inherit or build their own copy.
+        The (p + 1) × n block is what the mlp kernel multiplies by each
+        layer's [W | b], so the ones row adds the first layer's bias inside
+        its GEMM.  Built on first use and rebuilt whenever ``features`` has
+        been replaced, so it cannot go stale.  Forked chain workers inherit
+        or build their own copy.
         """
         cached = getattr(self, "_features_t", None)
         if cached is None or cached[0] is not self.features:
-            cached = (self.features, np.ascontiguousarray(self.features.T, dtype=float))
+            cached = (self.features, augmented_t(self.features))
             self._features_t = cached
         return cached[1]
 

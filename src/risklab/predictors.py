@@ -6,18 +6,24 @@ rectifier network (``mlp``).  Weights live in a single flat vector so that
 proposal moves, serialisation, and risk evaluation never need to know the
 architecture.
 
-The mlp forward pass runs on feature-major input Xᵀ (p × n), adding biases
-and rectifying in place.  With two classes it predicts class 1 where the
-score margin (W₁ − W₀)·h > b₀ − b₁ and class 0 otherwise, so ties go to
-class 0; with more classes it takes the argmax of the scores, whose ties go
-to the lowest index.  ``predict_batch`` and ``empirical_risk`` share that one
-kernel, so a teacher's own labels score a risk of exactly zero.
+The mlp forward pass runs on an augmented feature-major block: Xᵀ (p × n)
+with a last row of ones (``augmented_t``), so each layer's bias rides in its
+GEMM as one extra column, h' = [W | b] @ [h; 1].  Every hidden layer writes
+into the top rows of a (fan_out + 1) × n buffer whose last row is ones and
+rectifies those rows in place.  With two classes the output layer predicts
+class 1 where the score margin (W₁ − W₀)·h > b₀ − b₁ (h without its ones
+row) and class 0 otherwise, so ties go to class 0; with more classes it
+takes the argmax of [W | b] @ [h; 1], whose ties go to the lowest index.
+``predict_batch`` and ``empirical_risk`` share that one kernel, so a
+teacher's own labels score a risk of exactly zero.  Each spec works out
+once, when it is built, where each layer's [W | b] sits in the flat vector,
+so a call gathers it in one indexing step.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +54,10 @@ class PredictorSpec:
     kind: str
     input_dim: int
     layer_sizes: tuple = ()
+    # derived in __post_init__: the flat vector's length, and per mlp layer the
+    # (fan_out, fan_in + 1) positions in it of that layer's [W | b]
+    n_weights: int = field(init=False, repr=False, compare=False)
+    layout: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (SPHERE_LINEAR, MLP):
@@ -63,6 +73,14 @@ class PredictorSpec:
                 raise DomainError("mlp needs at least one layer size")
             if any(n < 1 for n in self.layer_sizes):
                 raise DomainError(f"layer sizes must be positive, got {self.layer_sizes}")
+        layout, pos, fan_in = [], 0, self.input_dim
+        for fan_out in self.layer_sizes:
+            bias = pos + fan_in * fan_out
+            W = np.arange(pos, bias).reshape(fan_out, fan_in)
+            layout.append(np.column_stack((W, np.arange(bias, bias + fan_out))))
+            pos, fan_in = bias + fan_out, fan_out
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "n_weights", pos if layout else self.input_dim)
 
     @property
     def class_count(self) -> int:
@@ -95,50 +113,39 @@ class WeightVector:
 
 def weight_count(spec: PredictorSpec) -> int:
     """Exact number of parameters for the architecture."""
-    if spec.kind == SPHERE_LINEAR:
-        return spec.input_dim
-    total = 0
-    fan_in = spec.input_dim
-    for fan_out in spec.layer_sizes:
-        total += (fan_in + 1) * fan_out
-        fan_in = fan_out
-    return total
+    return spec.n_weights
 
 
 def _check_weights(spec: PredictorSpec, w: WeightVector):
-    expected = weight_count(spec)
-    if w.values.shape != (expected,):
-        raise DomainError(f"weight vector has shape {w.values.shape}, spec needs ({expected},)")
+    if w.values.shape != (spec.n_weights,):
+        raise DomainError(f"weight vector has shape {w.values.shape}, spec needs ({spec.n_weights},)")
 
 
-def _mlp_layers(spec: PredictorSpec, w: WeightVector):
-    """Yield (W, b) per layer from the flat vector: W row-major then b, in layer order."""
-    flat = w.values
-    pos = 0
-    fan_in = spec.input_dim
-    for fan_out in spec.layer_sizes:
-        n_w = fan_in * fan_out
-        W = flat[pos : pos + n_w].reshape(fan_out, fan_in)
-        pos += n_w
-        b = flat[pos : pos + fan_out]
-        pos += fan_out
-        yield W, b
-        fan_in = fan_out
+def augmented_t(X: np.ndarray) -> np.ndarray:
+    """Contiguous (p + 1) × n block: the feature-major Xᵀ over a last row of ones."""
+    n, p = X.shape
+    XT = np.empty((p + 1, n))
+    XT[:p] = X.T
+    XT[p] = 1.0
+    return XT
 
 
 def _mlp_classes(spec: PredictorSpec, w: WeightVector, XT: np.ndarray) -> np.ndarray:
-    """Class per column of the feature-major batch XT (bool for two classes)."""
-    *hidden, (W, b) = _mlp_layers(spec, w)
+    """Class per column of the augmented batch XT (bool for two classes)."""
+    *hidden, Wb = [w.values[gather] for gather in spec.layout]  # [W | b] per layer
     h = XT
-    for W_h, b_h in hidden:
-        h = W_h @ h
-        h += b_h[:, None]
-        np.maximum(h, 0.0, out=h)
-    if W.shape[0] == 2:
-        return (W[1] - W[0]) @ h > b[0] - b[1]
-    scores = W @ h
-    scores += b[:, None]
-    return np.argmax(scores, axis=0)
+    for Wb_h in hidden:
+        fan_out = Wb_h.shape[0]
+        h_next = np.empty((fan_out + 1, h.shape[1]))
+        h_next[fan_out] = 1.0
+        top = h_next[:fan_out]
+        np.matmul(Wb_h, h, out=top)
+        np.maximum(top, 0.0, out=top)
+        h = h_next
+    if Wb.shape[0] == 2:
+        W, b = Wb[:, :-1], Wb[:, -1]
+        return (W[1] - W[0]) @ h[:-1] > b[0] - b[1]
+    return np.argmax(Wb @ h, axis=0)
 
 
 def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.ndarray:
@@ -149,7 +156,7 @@ def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.nda
     _check_weights(spec, w)
     if spec.kind == SPHERE_LINEAR:
         return (X @ w.values > 0.0).astype(np.int64)
-    return _mlp_classes(spec, w, np.ascontiguousarray(X.T)).astype(np.int64)
+    return _mlp_classes(spec, w, augmented_t(X)).astype(np.int64)
 
 
 def predict(spec: PredictorSpec, w: WeightVector, x: np.ndarray) -> int:
@@ -163,7 +170,7 @@ def predict(spec: PredictorSpec, w: WeightVector, x: np.ndarray) -> int:
 def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> float:
     """Fraction of misclassified examples, an exact k/n in floating point.
 
-    mlp risks run on the dataset's cached feature-major copy ``features_t``.
+    mlp risks run on the dataset's cached augmented block ``features_t``.
     """
     labels = data.labels
     if subset is not None:
@@ -178,8 +185,8 @@ def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> f
         predicted = predict_batch(spec, w, features)
     else:
         XT = data.features_t if subset is None else data.features_t[:, subset]
-        if XT.shape[0] != spec.input_dim:
-            raise DomainError(f"features have shape {XT.T.shape}, spec needs (n, {spec.input_dim})")
+        if XT.shape[0] != spec.input_dim + 1:
+            raise DomainError(f"features have {XT.shape[0] - 1} columns, spec needs {spec.input_dim}")
         _check_weights(spec, w)
         predicted = _mlp_classes(spec, w, XT)
     return int(np.count_nonzero(predicted != labels)) / len(labels)

@@ -103,6 +103,30 @@ class TestDispatchContracts:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
+        (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "2", "--delta", "1",
+          "--beta-grid", "0", "--seed", "1"], ["--data", "{data}"]),
+        (["sample", "annealed", "--machine", "perceptron-exact", "--p", "2", "--delta", "1",
+          "--m-grid", "0", "--seed", "1"], ["--layer-sizes", "4,2"]),
+        (["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", "{data}",
+          "--beta-grid", "0", "--seed", "1"], ["--p", "2"]),
+        (["sample", "annealed", "--machine", "mlp", "--data", "{data}", "--layer-sizes", "4,2",
+          "--m-grid", "0", "--seed", "1"], ["--delta", "1"]),
+        (["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", "{data}",
+          "--beta-grid", "0", "--seed", "1"], ["--layer-sizes", "4,2"]),
+        (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear", "--teacher-seed", "1"],
+         ["--layer-sizes", "4,2"]),
+    ], ids=["exact-data", "exact-layer-sizes", "linear-p", "mlp-delta", "linear-layer-sizes",
+            "relabel-linear-layer-sizes"])
+    def test_option_the_machine_does_not_read_exits_one(self, tmp_path, capsys, command, flag):
+        data_csv = tmp_path / "d.csv"
+        data_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n")
+        out = tmp_path / "out.csv"
+        argv = [a.format(data=data_csv) for a in command + flag]
+        assert dispatch(argv + ["--out", str(out)]) == 1
+        assert f"takes no {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
         (["analytic", "perceptron-entropy", "--p", "5", "--delta", "1"], ["--r-pad", "0.1"]),
         (["analytic", "perceptron-entropy", "--p", "5", "--delta", "1"], ["--r-grid", "0.3"]),
         (["analytic", "gardner", "--alpha-grid", "10"], ["--alpha", "100"]),
@@ -363,12 +387,9 @@ class TestSamplingCommands:
 
     @pytest.mark.parametrize("flags", [["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"]])
     def test_non_finite_chain_parameter_exits_two(self, tmp_path, flags):
-        data_csv = tmp_path / "d.csv"
-        assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
-                         "--seed", "7", "--out", str(data_csv)]) == 0
         out = tmp_path / "x.csv"
         code = dispatch(["sample", "boltzmann-sweep", "--p", "5", "--delta", "2",
-                         "--data", str(data_csv), "--burn-in", "50", "--samples", "20",
+                         "--burn-in", "50", "--samples", "20",
                          "--seed", "1", "--out", str(out)] + flags)
         assert code == 2
         assert not out.exists()

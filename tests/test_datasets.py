@@ -126,9 +126,9 @@ class TestLoadIdx:
 
 
 class TestTeacherRelabel:
-    def _setup(self, seed=6):
+    def _setup(self, seed=6, layer_sizes=(5, 3)):
         rng = np.random.default_rng(seed)
-        spec = PredictorSpec(kind="mlp", input_dim=6, layer_sizes=(5, 3))
+        spec = PredictorSpec(kind="mlp", input_dim=6, layer_sizes=layer_sizes)
         data = gen_gaussian_pair(GaussianClassSpec(6, 1.0), 500, rng)
         teacher = random_weights(spec, 1.0, rng)
         return spec, data, teacher
@@ -138,6 +138,13 @@ class TestTeacherRelabel:
         relabeled = teacher_relabel(data, spec, teacher)
         assert empirical_risk(spec, teacher, relabeled) == 0.0
         assert relabeled.class_count == 3
+
+    def test_two_hidden_layer_teacher_achieves_zero_risk(self):
+        # the second hidden layer's bias rides on the ones row of the first's output
+        spec, data, teacher = self._setup(layer_sizes=(5, 4, 3))
+        relabeled = teacher_relabel(data, spec, teacher)
+        assert empirical_risk(spec, teacher, relabeled) == 0.0
+        assert empirical_risk(spec, teacher, relabeled, subset=np.arange(0, 500, 7)) == 0.0
 
     def test_idempotent(self):
         spec, data, teacher = self._setup()
@@ -160,6 +167,23 @@ class TestTeacherRelabel:
     def test_features_shared_not_copied(self):
         spec, data, teacher = self._setup()
         assert teacher_relabel(data, spec, teacher).features is data.features
+
+
+class TestFeatureBlock:
+    def test_feature_major_over_a_ones_row(self):
+        data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 7, 3)
+        block = data.features_t
+        assert block.shape == (5, 7) and block.flags.c_contiguous
+        assert (block[:4] == data.features.T).all()
+        assert (block[4] == 1.0).all()
+
+    def test_rebuilt_after_features_are_replaced(self):
+        data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 7, 3)
+        first = data.features_t
+        assert data.features_t is first
+        data.features = -data.features
+        assert (data.features_t[:4] == data.features.T).all()
+        assert (data.features_t[4] == 1.0).all()
 
 
 class TestSplit:

@@ -40,6 +40,22 @@ class TestWeightCount:
         spec = PredictorSpec(kind="mlp", input_dim=3072, layer_sizes=(768, 10))
         assert weight_count(spec) == 2_367_754
 
+    @given(p=st.integers(1, 30), layer_sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    def test_layout_tiles_the_flat_vector(self, p, layer_sizes):
+        spec = PredictorSpec(kind="mlp", input_dim=p, layer_sizes=layer_sizes)
+        fan_ins = [p, *layer_sizes[:-1]]
+        n = weight_count(spec)
+        assert n == sum((i + 1) * o for i, o in zip(fan_ins, layer_sizes))
+        assert len(spec.layout) == len(layer_sizes)
+        values, pos = np.arange(n), 0
+        for gather, fan_in, fan_out in zip(spec.layout, fan_ins, layer_sizes):
+            Wb = values[gather]  # W row-major then b, layer by layer
+            assert (Wb[:, :-1] == values[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in)).all()
+            assert (Wb[:, -1] == values[pos + fan_in * fan_out : pos + (fan_in + 1) * fan_out]).all()
+            pos += (fan_in + 1) * fan_out
+        covered = np.sort(np.concatenate([gather.ravel() for gather in spec.layout]))
+        assert (covered == np.arange(n)).all()
+
 
 class TestPredict:
     def test_aligned_input_is_class_one(self):
@@ -170,18 +186,22 @@ class TestFusedMlpKernel:
         assert empirical_risk(spec, w, data) == 1.0
 
     @given(seed=st.integers(0, 2**32 - 1), classes=st.sampled_from([2, 3]),
-           hidden=st.integers(1, 9), p=st.integers(1, 6), n=st.integers(1, 60))
+           hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3), p=st.integers(1, 6),
+           n=st.integers(1, 60))
     def test_matches_row_major_argmax(self, seed, classes, hidden, p, n):
         rng = np.random.default_rng(seed)
-        spec = PredictorSpec(kind="mlp", input_dim=p, layer_sizes=(hidden, classes))
+        spec = PredictorSpec(kind="mlp", input_dim=p, layer_sizes=(*hidden, classes))
         w = random_weights(spec, 1.0, rng)
         X = rng.standard_normal((n, p))
         scores = reference_scores(spec, w, X)
         top2 = np.sort(scores, axis=1)[:, -2:]
         clear = np.flatnonzero(top2[:, 1] - top2[:, 0] > 1e-9)
         expected = np.argmax(scores, axis=1)
-        assert (predict_batch(spec, w, X)[clear] == expected[clear]).all()
+        predicted = predict_batch(spec, w, X)
+        assert (predicted[clear] == expected[clear]).all()
         data = LabelledDataset(X, expected, class_count=classes)
+        assert empirical_risk(spec, w, data) == np.count_nonzero(predicted != expected) / n
+        assert empirical_risk(spec, w, data) <= (n - clear.size) / n
         if clear.size:
             assert empirical_risk(spec, w, data, subset=clear) == 0.0
 
