@@ -94,7 +94,7 @@ def _register(parser, opts):
             parser.add_argument(o.flag, dest=o.dest, type=o.type, default=None, help=o.help)
 
 
-def load_config(path, known_keys=None) -> dict:
+def load_config(path, known_keys) -> dict:
     """Load a JSON parameter record; unknown keys are rejected by name."""
     try:
         with open(path, "r") as fh:
@@ -103,10 +103,9 @@ def load_config(path, known_keys=None) -> dict:
         raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
     if not isinstance(record, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    if known_keys is not None:
-        unknown = sorted(set(record) - set(known_keys))
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys {unknown}")
+    unknown = sorted(set(record) - set(known_keys))
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
     return record
 
 
@@ -245,7 +244,7 @@ def _build_machine(params, manifest):
     """(spec, acceptance risk, report risk) of ``--machine``."""
     machine = params["machine"]
     if machine == "perceptron-exact":
-        _refuse(params, machine, ("data", "layer_sizes"))
+        _refuse(params, machine, ("data", "layer_sizes", "split"))
         if params["p"] is None or params["delta"] is None:
             raise ConfigError("perceptron-exact needs --p and --delta")
         delta = params["delta"]
@@ -261,7 +260,12 @@ def _build_machine(params, manifest):
     data = dataset_from_csv(params["data"])
     manifest.add_input(params["data"])
     spec = _predictor_spec(machine, data.feature_dim, params["layer_sizes"])
-    accept_data, report_data = split(data, params["split"], stream(params["seed"], 9000))
+    if data.labels.max() >= spec.class_count:
+        raise ConfigError(f"{params['data']}: label {data.labels.max()} is out of reach of "
+                          f"{machine}, which predicts {spec.class_count} classes")
+    fraction = 0.5 if params["split"] is None else params["split"]
+    manifest.record["parameters"]["split"] = fraction
+    accept_data, report_data = split(data, fraction, stream(params["seed"], 9000))
 
     def risk_fn(w):
         return empirical_risk(spec, w, accept_data)
@@ -412,7 +416,7 @@ _MACHINE_OPTS = [
     Opt("--delta", float, help="class separation (perceptron-exact)"),
     Opt("--data", str, help="dataset CSV (sphere-linear / mlp)"),
     Opt("--layer-sizes", _int_list, help="mlp layer sizes, e.g. 16,2"),
-    Opt("--split", float, default=0.5, help="acceptance-data fraction of the dataset"),
+    Opt("--split", float, help="acceptance-data fraction of the dataset (sphere-linear / mlp; default 0.5)"),
     Opt("--proposal-scale", float, default=0.05),
     Opt("--burn-in", int, default=2000),
     Opt("--samples", int, default=1000),

@@ -4,7 +4,8 @@ Learning is modelled as drawing weights uniformly from the set that fits the
 training data perfectly.  The expected risk of such a draw is controlled by
 two curves: the risk entropy s(r) and the log typical training ratio μ(r).
 For m i.i.d. examples the annealed model takes μ(r) = m·log(1−r).  The
-predicted risk is the stationary point of s(r) + μ(r), or, away from the
+predicted risk is the stationary point of s(r) + μ(r), found as the root of
+s′(r) + μ′(r) (so every model carries μ′ in closed form), or, away from the
 sharp-peak regime, the ratio of the integrals
 
     R = ∫ r·e^{s(r)+μ(r)+σ(r)χ(r)} dr / ∫ e^{s(r)+μ(r)+σ(r)χ(r)} dr.
@@ -35,27 +36,25 @@ __all__ = [
     "estimate_local_exponent",
 ]
 
-_FD_STEP = 6.0e-6  # ~cbrt(machine eps), for central differences
+# points of the refined grid in gibbs_risk_integral
+_GRID_POINTS = 20001
+# log-spaced bins of estimate_local_exponent, and the quantile of the in-window
+# gaps that sets the lowest bin edge when the window touches r_min
+_EXPONENT_BINS = 8
+_LOWER_QUANTILE = 0.02
 
 
 @dataclass(frozen=True)
 class TrainingRatioModel:
-    """Log typical training ratio μ(r) with optional fluctuation variance σ²(r).
+    """Log typical training ratio μ(r), its derivative μ′(r) and optional variance σ²(r).
 
-    ``mu_prime`` may supply the analytic derivative; otherwise the saddle
-    solver falls back to central finite differences.  ``sigma2 is None``
-    means the annealed assumption σ²(r) = 0.
+    ``mu_prime`` is required: the saddle solver roots s′ + μ′ with it.
+    ``sigma2 is None`` means the annealed assumption σ²(r) = 0.
     """
 
     mu: Callable[[float], float]
+    mu_prime: Callable[[float], float]
     sigma2: Optional[Callable[[float], float]] = None
-    mu_prime: Optional[Callable[[float], float]] = None
-
-    def mu_derivative(self, r: float) -> float:
-        if self.mu_prime is not None:
-            return float(self.mu_prime(r))
-        h = _FD_STEP * max(abs(r), 1e-3)
-        return float((self.mu(r + h) - self.mu(r - h)) / (2.0 * h))
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ def annealed_mu(m: int) -> TrainingRatioModel:
     m = int(m)
     return TrainingRatioModel(
         mu=lambda r: m * np.log1p(-r),
-        sigma2=None,
         mu_prime=lambda r: -m / (1.0 - r),
     )
 
@@ -111,7 +109,7 @@ def gibbs_risk_saddle(
         raise DomainError(f"invalid bracket {bracket}")
 
     def g(r):
-        return float(s_prime(r)) + model.mu_derivative(r)
+        return float(s_prime(r)) + float(model.mu_prime(r))
 
     g_lo, g_hi = g(lo), g(hi)
     if not (np.isfinite(g_lo) and np.isfinite(g_hi)):
@@ -137,7 +135,6 @@ def gibbs_risk_integral(
     model: TrainingRatioModel,
     chi: Optional[Callable[[float], float]] = None,
     domain: tuple[float, float] = (0.0, 1.0),
-    grid_points: int = 20001,
 ) -> float:
     """Gibbs risk by direct integration of r·e^{s+μ+σχ} over the risk interval.
 
@@ -178,7 +175,7 @@ def gibbs_risk_integral(
     keep = logw >= log_max - 60.0
     r_lo = coarse[max(np.argmax(keep) - 1, 0)]
     r_hi = coarse[min(len(coarse) - 1 - np.argmax(keep[::-1]) + 1, len(coarse) - 1)]
-    grid = np.linspace(r_lo, r_hi, grid_points)
+    grid = np.linspace(r_lo, r_hi, _GRID_POINTS)
     with np.errstate(invalid="ignore", divide="ignore"):
         logw = log_weight(grid)
     logw[~np.isfinite(logw)] = -np.inf
@@ -205,17 +202,15 @@ def estimate_local_exponent(
     risk_samples,
     r_min: float,
     window: tuple[float, float],
-    num_bins: int = 8,
-    lower_quantile: float = 0.02,
 ) -> tuple[float, float]:
     """Fit the power-law exponent of the risk density just above ``r_min``.
 
     Bins the gaps r − r_min inside ``window`` into logarithmically spaced
     bins and returns the least-squares slope of log(bin density) against
     log(gap), together with its standard error.  A density ρ ∝ (r−R_min)^a
-    yields slope a.  The lowest bin edge is placed at the ``lower_quantile``
-    of the in-window gaps when the window touches r_min, since a log edge at
-    gap zero is unusable.
+    yields slope a over 8 bins.  The lowest bin edge is placed at the 2%
+    quantile of the in-window gaps when the window touches r_min, since a
+    log edge at gap zero is unusable.
     """
     lo, hi = window
     if lo < r_min:
@@ -227,8 +222,8 @@ def estimate_local_exponent(
         raise FitError(f"need >= 100 samples inside the window, got {in_win.size}")
     lo_gap = lo - r_min
     if lo_gap <= 0:
-        lo_gap = float(np.quantile(in_win, lower_quantile))
-    edges = np.geomspace(lo_gap, hi - r_min, num_bins + 1)
+        lo_gap = float(np.quantile(in_win, _LOWER_QUANTILE))
+    edges = np.geomspace(lo_gap, hi - r_min, _EXPONENT_BINS + 1)
     counts, _ = np.histogram(in_win, bins=edges)
     if (counts == 0).any():
         empty = [i for i, c in enumerate(counts) if c == 0]

@@ -311,24 +311,17 @@ def _check_finite(risk, state):
 
 
 def sample_without_replacement(rng, n: int, k: int) -> np.ndarray:
-    """Uniform k-subset of range(n): permutation slice for small n, else Floyd.
+    """Uniform k-subset of range(n): a permutation slice for n <= 4096, else ``rng.choice``.
 
-    Floyd's algorithm draws only k variates, so large datasets with small
-    minibatches never pay for a full permutation.
+    Without replacement, ``Generator.choice`` shuffles only k entries, or
+    runs Floyd's algorithm in C when k is small against a large n, so large
+    datasets with small minibatches never pay for a full permutation.
     """
     if k > n:
         raise DomainError(f"cannot draw {k} of {n} without replacement")
-    if n <= 4096 or 8 * k >= n:
+    if n <= 4096:
         return rng.permutation(n)[:k]
-    draws = rng.integers(0, np.arange(n - k + 1, n + 1))
-    chosen = set()
-    out = np.empty(k, dtype=np.int64)
-    for i, (t, j) in enumerate(zip(draws.tolist(), range(n - k, n))):
-        if t in chosen:
-            t = j
-        chosen.add(t)
-        out[i] = t
-    return out
+    return rng.choice(n, k, replace=False, shuffle=False)
 
 
 def _boltzmann(r_new: float, r_old: float, beta: float, rng) -> bool:
@@ -452,29 +445,34 @@ def _batch_means(values: np.ndarray) -> tuple[float, float]:
 # cap of the calibrated scale: on the unit sphere, where every chain without a
 # given start walks, a Gaussian step this large already lands almost uniformly
 MAX_SCALE = math.pi
+# the calibration's target acceptance band, its steps per probe and its most rounds
+_TARGET_BAND = (0.2, 0.4)
+_PROBE_STEPS = 100
+_MAX_ROUNDS = 25
 
 
-def _calibrate_scale(state, config, advance, target=(0.2, 0.4), rounds=25, probe=100):
-    """Pre-burn-in scale search aiming for an acceptance rate inside ``target``.
+def _calibrate_scale(state, config, advance):
+    """Pre-burn-in scale search aiming for an acceptance rate in [0.2, 0.4].
 
-    Each round probes ``probe`` steps, then shrinks the scale ×0.7 below the
-    band or grows it ×1.4, never past ``MAX_SCALE``, above it.  Returns
-    (scale, True) once a probe's rate lands in ``target``.  It returns
+    Each round probes 100 steps, then shrinks the scale ×0.7 below the band
+    or grows it ×1.4, never past ``MAX_SCALE``, above it.  Returns
+    (scale, True) once a probe's rate lands in the band.  It returns
     (MAX_SCALE, False) without probing for a flat target (β or m = 0, where
     every move is accepted), (MAX_SCALE, False) at the first probe at the
     cap whose rate is still above the band, and the last scale and False
-    when the rounds run out.
+    when 25 rounds run out.
     """
     if config.beta == 0:
         return MAX_SCALE, False
+    low, high = _TARGET_BAND
     scale = min(config.proposal_scale, MAX_SCALE)
-    for _ in range(rounds):
+    for _ in range(_MAX_ROUNDS):
         before = state.accepts
-        advance(replace(config, proposal_scale=scale), probe)
-        rate = (state.accepts - before) / probe
-        if rate < target[0]:
+        advance(replace(config, proposal_scale=scale), _PROBE_STEPS)
+        rate = (state.accepts - before) / _PROBE_STEPS
+        if rate < low:
             scale *= 0.7
-        elif rate <= target[1]:
+        elif rate <= high:
             return scale, True
         elif scale == MAX_SCALE:
             return scale, False

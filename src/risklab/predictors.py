@@ -175,8 +175,6 @@ def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> f
     labels = data.labels
     if subset is not None:
         subset = np.asarray(subset, dtype=np.intp)
-        if subset.size == 0:
-            raise DomainError("empty evaluation set")
         labels = labels[subset]
     if len(labels) == 0:
         raise DomainError("empty evaluation set")

@@ -23,6 +23,8 @@ from .errors import BracketError, DomainError, QuadratureError
 __all__ = ["ReplicaState", "mu_per_example", "entropy_rq", "solve_saddle"]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# largest |residual| of the overlap equation that solve_saddle accepts at its root
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,13 @@ def saddle_residual(q: float, alpha: float) -> float:
     return q - (alpha / math.pi) * math.sqrt(1.0 - q) * _overlap_integral(q)
 
 
-def solve_saddle(alpha: float, residual_tol: float = 1e-8) -> ReplicaState:
+def solve_saddle(alpha: float) -> ReplicaState:
     """Solve the saddle equations at load alpha = m/p.
 
     Imposes q = cos(πr) and solves the overlap equation by bracketed root
     search on q (bisection plus secant refinement via Brent).  The returned
-    risk r = arccos(q)/π is the Gibbs risk at this load.
+    risk r = arccos(q)/π is the Gibbs risk at this load.  A residual above
+    1e-8 at the root raises BracketError.
     """
     if alpha <= 0:
         raise DomainError(f"load must be > 0, got {alpha}")
@@ -121,7 +124,7 @@ def solve_saddle(alpha: float, residual_tol: float = 1e-8) -> ReplicaState:
         )
     q = optimize.brentq(saddle_residual, lo, hi, args=(alpha,), xtol=1e-14, rtol=8.9e-16)
     res = saddle_residual(q, alpha)
-    if abs(res) > residual_tol:
+    if abs(res) > _RESIDUAL_TOL:
         raise BracketError(f"saddle residual {res:.3e} above tolerance", residual_lo=res)
     r = math.acos(q) / math.pi
     return ReplicaState(alpha=float(alpha), q=float(q), r=float(r))

@@ -92,15 +92,24 @@ class TestDispatchContracts:
         (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear"],
          "need --teacher-weights or --teacher-seed"),
         (["analytic", "gardner"], "--alpha-grid"),
+        (["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", "{three}",
+          "--beta-grid", "0,1", "--seed", "1"], "label 2 is out of reach of sphere-linear, "
+         "which predicts 2 classes"),
+        (["sample", "annealed", "--machine", "mlp", "--data", "{three}", "--layer-sizes", "4,2",
+          "--m-grid", "0,1", "--seed", "1"], "label 2 is out of reach of mlp, which predicts 2 classes"),
     ], ids=["unknown-machine", "exact-without-p", "exact-without-delta", "linear-without-data",
-            "mlp-without-layer-sizes", "relabel-without-teacher", "gardner-without-grid"])
+            "mlp-without-layer-sizes", "relabel-without-teacher", "gardner-without-grid",
+            "linear-label-out-of-reach", "mlp-label-out-of-reach"])
     def test_handler_usage_error_exits_one(self, tmp_path, capsys, command, message):
         data_csv = tmp_path / "d.csv"
         data_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n")
+        three_csv = tmp_path / "three.csv"
+        three_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n2,5,6\n")
         out = tmp_path / "out.csv"
-        assert dispatch([a.format(data=data_csv) for a in command] + ["--out", str(out)]) == 1
+        argv = [a.format(data=data_csv, three=three_csv) for a in command] + ["--out", str(out)]
+        assert dispatch(argv) == 1
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "out.csv.chains").exists()
 
     @pytest.mark.parametrize("command, flag", [
         (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "2", "--delta", "1",
@@ -115,8 +124,10 @@ class TestDispatchContracts:
           "--beta-grid", "0", "--seed", "1"], ["--layer-sizes", "4,2"]),
         (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear", "--teacher-seed", "1"],
          ["--layer-sizes", "4,2"]),
+        (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "3", "--delta", "1",
+          "--beta-grid", "0", "--seed", "1"], ["--split", "0.9"]),
     ], ids=["exact-data", "exact-layer-sizes", "linear-p", "mlp-delta", "linear-layer-sizes",
-            "relabel-linear-layer-sizes"])
+            "relabel-linear-layer-sizes", "exact-split"])
     def test_option_the_machine_does_not_read_exits_one(self, tmp_path, capsys, command, flag):
         data_csv = tmp_path / "d.csv"
         data_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n")
@@ -350,6 +361,24 @@ class TestSamplingCommands:
         # one worker process per chain up to the cap; no --calibrate, no probes
         assert manifest["chain_workers"] == min(worker_count(), 2)
         assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40), "calibration_steps": 0}
+
+    def test_dataset_sweep_manifest_records_its_split(self, tmp_path):
+        data = tmp_path / "d.csv"
+        assert dispatch(["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "40",
+                         "--seed", "3", "--out", str(data)]) == 0
+        args = ["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", str(data),
+                "--beta-grid", "0,5", "--burn-in", "20", "--samples", "10", "--seed", "4"]
+
+        def run(extra, name):
+            out = tmp_path / name
+            assert dispatch(args + extra + ["--out", str(out)]) == 0
+            record = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            return record["parameters"]["split"], out.read_bytes()
+
+        default_split, default_curve = run([], "default.csv")
+        assert default_split == 0.5
+        assert run(["--split", "0.5"], "half.csv") == (0.5, default_curve)
+        assert run(["--split", "0.75"], "wide.csv")[0] == 0.75
 
     def test_manifest_counts_calibration_probes(self, tmp_path):
         out = tmp_path / "curve.csv"

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import risklab.cli
+import risklab.gibbs
+import risklab.mcmc
+import risklab.perceptron
+import risklab.replica
 from risklab import (
     GaussianClassSpec,
     PowerLawEntropy,
+    TrainingRatioModel,
     annealed_mu,
     estimate_local_exponent,
     gibbs_risk_integral,
@@ -40,7 +47,7 @@ class TestAnnealedMu:
 
     def test_analytic_derivative(self):
         model = annealed_mu(40)
-        assert model.mu_derivative(0.25) == pytest.approx(-40 / 0.75, rel=1e-12)
+        assert model.mu_prime(0.25) == pytest.approx(-40 / 0.75, rel=1e-12)
 
 
 class TestGibbsRiskSaddle:
@@ -182,3 +189,27 @@ class TestEstimateLocalExponent:
         clumped = np.concatenate([np.full(200, 0.11), np.full(200, 0.29)])
         with pytest.raises(FitError, match="empty bins"):
             estimate_local_exponent(clumped, 0.1, (0.1, 0.3))
+
+
+def test_single_valued_settings_are_not_parameters():
+    # settings no caller varied are module constants; the code only they reached is gone
+    removed = {
+        risklab.gibbs.gibbs_risk_integral: {"grid_points"},
+        risklab.gibbs.estimate_local_exponent: {"num_bins", "lower_quantile"},
+        risklab.perceptron.boltzmann_risk_exact: {"rel_tol"},
+        risklab.replica.solve_saddle: {"residual_tol"},
+        risklab.mcmc._calibrate_scale: {"target", "rounds", "probe"},
+        risklab.perceptron.GaussianClassSpec: {"t"},
+    }
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
+    with pytest.raises(TypeError):
+        GaussianClassSpec(3, 1.0, t=np.array([0.0, 1.0, 0.0]))
+    assert GaussianClassSpec(3, 1.0).t.tolist() == [1.0, 0.0, 0.0]
+    # mu_prime and load_config's known keys have no default any more
+    required = inspect.Parameter.empty
+    assert inspect.signature(TrainingRatioModel).parameters["mu_prime"].default is required
+    assert inspect.signature(risklab.cli.load_config).parameters["known_keys"].default is required
+    assert not hasattr(TrainingRatioModel, "mu_derivative")
+    with pytest.raises(TypeError):
+        TrainingRatioModel(mu=lambda r: 0.0)

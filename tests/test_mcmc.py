@@ -376,6 +376,39 @@ class TestMinibatchProposalStep:
             )
 
 
+class TestSampleWithoutReplacement:
+    # one case per branch: the permutation slice (n <= 4096) and rng.choice
+    @pytest.mark.parametrize("n, k, draws", [(12, 4, 20_000), (5000, 200, 2500)],
+                             ids=["permutation", "choice"])
+    def test_distinct_in_range_and_uniform(self, n, k, draws):
+        rng = np.random.default_rng(17)
+        counts = np.zeros(n, dtype=np.int64)
+        for _ in range(draws):
+            subset = mcmc.sample_without_replacement(rng, n, k)
+            assert subset.shape == (k,) and np.issubdtype(subset.dtype, np.integer)
+            assert np.unique(subset).size == k
+            assert subset.min() >= 0 and subset.max() < n
+            counts[subset] += 1
+        # each index is in a draw with probability p = k/n; the counts' covariance is
+        # draws * p(1 - p) * (n/(n - 1)) * (I - 11ᵀ/n), so x * (n - 1)/n is chi² with n - 1 dof
+        p = k / n
+        z = (counts - draws * p) / math.sqrt(draws * p * (1 - p))
+        assert np.abs(z).max() < 6.0  # no index is skipped or favoured
+        x = float((z**2).sum())
+        assert 1e-4 < stats.chi2.sf(x * (n - 1) / n, n - 1) < 1 - 1e-4
+
+    def test_small_n_draws_are_a_permutation_slice(self):
+        # criterion 7 and the toy chains draw from 12 examples; their streams stay put
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for n, k in ((12, 4), (4096, 300)):
+            assert mcmc.sample_without_replacement(a, n, k).tolist() == b.permutation(n)[:k].tolist()
+
+    @pytest.mark.parametrize("n", [12, 5000], ids=["permutation", "choice"])
+    def test_more_than_n_raises(self, n):
+        with pytest.raises(DomainError):
+            mcmc.sample_without_replacement(np.random.default_rng(0), n, n + 1)
+
+
 # --- whole chains -----------------------------------------------------------
 
 PSPEC = PredictorSpec(kind="sphere_linear", input_dim=20)

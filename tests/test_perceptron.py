@@ -270,10 +270,6 @@ class TestGaussianClassSpec:
         spec = GaussianClassSpec(5, 1.0)
         assert np.linalg.norm(spec.t) == pytest.approx(1.0, abs=1e-15)
 
-    def test_rejects_bad_target_norm(self):
-        with pytest.raises(DomainError):
-            GaussianClassSpec(3, 1.0, t=np.array([1.0, 1.0, 0.0]))
-
     def test_rejects_small_dimension_and_negative_delta(self):
         with pytest.raises(DomainError):
             GaussianClassSpec(1, 1.0)
