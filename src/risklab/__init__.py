@@ -4,15 +4,12 @@ __version__ = "0.1.0"
 
 from .perceptron import (  # noqa: F401
     GaussianClassSpec,
-    angle_density,
     boltzmann_risk_exact,
-    hebbian_asymptote,
     hebbian_expected_risk,
     hebbian_simulate,
     perceptron_risk,
     risk_density,
     risk_entropy,
-    risk_entropy_per_feature_limit,
 )
 from .replica import ReplicaState, entropy_rq, mu_per_example, solve_saddle  # noqa: F401
 from .gibbs import (  # noqa: F401
@@ -28,7 +25,6 @@ from .predictors import (  # noqa: F401
     PredictorSpec,
     WeightVector,
     empirical_risk,
-    predict,
     predict_batch,
     random_weights,
     weight_count,

@@ -33,6 +33,7 @@ from .perceptron import (
     boltzmann_risk_exact,
     hebbian_expected_risk,
     hebbian_simulate,
+    perceptron_risk,
     risk_entropy,
 )
 from .predictors import (
@@ -45,7 +46,6 @@ from .predictors import (
 from .reconstruction import EntropyCurve, predicted_annealed_risk, quadratic_fit, reconstruct
 from .replica import solve_saddle
 from .rng import stream
-from scipy.special import ndtr
 
 __all__ = ["dispatch", "load_config", "main"]
 
@@ -247,13 +247,9 @@ def _build_machine(params, manifest):
         _refuse(params, machine, ("data", "layer_sizes", "split"))
         if params["p"] is None or params["delta"] is None:
             raise ConfigError("perceptron-exact needs --p and --delta")
-        delta = params["delta"]
-
-        def risk_fn(w):
-            # target direction is the first axis; risk depends only on the angle
-            return float(ndtr(-delta * w.values[0]))
-
-        return PredictorSpec(kind="sphere_linear", input_dim=params["p"]), risk_fn, risk_fn
+        spec = _gaussian(params)
+        risk_fn = partial(perceptron_risk, spec=spec)
+        return PredictorSpec(kind="sphere_linear", input_dim=spec.p), risk_fn, risk_fn
     _refuse(params, machine, ("p", "delta"))
     if params["data"] is None:
         raise ConfigError(f"{machine} needs --data")

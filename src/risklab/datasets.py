@@ -103,7 +103,7 @@ def _read_exact(path, header_fmt):
     return struct.unpack(header_fmt, head), payload
 
 
-def load_idx(image_path, label_path, class_count: int | None = None) -> LabelledDataset:
+def load_idx(image_path, label_path) -> LabelledDataset:
     """Parse big-endian IDX image/label files into a dataset.
 
     Pixels are scaled byte/255 into [0, 1] and images flattened row-major.
@@ -132,9 +132,7 @@ def load_idx(image_path, label_path, class_count: int | None = None) -> Labelled
     pixels = np.frombuffer(img_payload, dtype=np.uint8).reshape(n_img, rows * cols)
     features = pixels.astype(float) / 255.0
     labels = np.frombuffer(lbl_payload, dtype=np.uint8).astype(np.int64)
-    if class_count is None:
-        class_count = int(labels.max()) + 1
-    return LabelledDataset(features, labels, class_count)
+    return LabelledDataset(features, labels, int(labels.max()) + 1)
 
 
 def write_idx(data: LabelledDataset, image_path, label_path, rows: int, cols: int):
@@ -314,12 +312,10 @@ def dataset_to_csv(data: LabelledDataset, path):
                 os.remove(part)
 
 
-def dataset_from_csv(path, class_count: int | None = None) -> LabelledDataset:
+def dataset_from_csv(path) -> LabelledDataset:
     """Read a CSV written by :func:`dataset_to_csv`; malformed files raise ConfigError."""
     header, table = read_table(path)
     if header[0] != "label":
         raise ConfigError(f"{path}: expected a 'label,f0,...' header, got {header[:3]}")
     labels = whole_numbers(path, "labels", table[:, 0])
-    if class_count is None:
-        class_count = int(labels.max()) + 1
-    return LabelledDataset(np.ascontiguousarray(table[:, 1:]), labels, class_count)
+    return LabelledDataset(np.ascontiguousarray(table[:, 1:]), labels, int(labels.max()) + 1)

@@ -12,19 +12,9 @@ class DomainError(RisklabError, ValueError):
 class QuadratureError(RisklabError, RuntimeError):
     """Numerical integration failed to reach the requested tolerance."""
 
-    def __init__(self, message, achieved=None, requested=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.requested = requested
-
 
 class BracketError(RisklabError, RuntimeError):
     """A root search could not bracket a sign change."""
-
-    def __init__(self, message, residual_lo=None, residual_hi=None):
-        super().__init__(message)
-        self.residual_lo = residual_lo
-        self.residual_hi = residual_hi
 
 
 class FitError(RisklabError, ValueError):

@@ -119,9 +119,7 @@ def gibbs_risk_saddle(
     if g_hi == 0.0:
         return float(hi)
     if g_lo * g_hi > 0:
-        raise BracketError(
-            f"no sign change of s' + mu' on [{lo}, {hi}]", residual_lo=g_lo, residual_hi=g_hi
-        )
+        raise BracketError(f"no sign change of s' + mu' on [{lo}, {hi}]: residuals {g_lo:.3e}, {g_hi:.3e}")
     r_star = optimize.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     resid = abs(g(r_star))
     scale = abs(float(s_prime(r_star)))

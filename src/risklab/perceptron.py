@@ -4,9 +4,9 @@ Data model: two classes y = ±1 with equal prior, x | y ~ N(y·Δ·t, I_p),
 where the target direction t is the first axis e₁.  Every result below
 depends on t only through angles to it, so no generality is lost.  A
 unit-norm weight vector w classifies by sign(wᵀx) and its risk depends only
-on the angle θ between w and t:
+on its first coordinate w₁ = cos θ, the cosine of its angle θ to t:
 
-    R(w) = Φ(−Δ·cos θ)
+    R(w) = Φ(−Δ·w₁)
 
 The minimum achievable risk is R_min = Φ(−Δ) > 0 whenever Δ < ∞, so the
 classifier can never be exact, only approached.  Because uniformly random
@@ -26,18 +26,16 @@ from scipy import integrate, optimize
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError, QuadratureError
+from .predictors import WeightVector
 from .rng import stream
 
 __all__ = [
     "GaussianClassSpec",
     "perceptron_risk",
-    "angle_density",
     "risk_entropy",
-    "risk_entropy_per_feature_limit",
     "risk_density",
     "boltzmann_risk_exact",
     "hebbian_expected_risk",
-    "hebbian_asymptote",
     "hebbian_simulate",
 ]
 
@@ -70,24 +68,9 @@ class GaussianClassSpec:
         return float(ndtr(-self.delta))
 
 
-def perceptron_risk(theta: float, delta: float) -> float:
-    """Risk Φ(−Δ·cos θ) of a unit weight vector at angle θ to the target."""
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError(f"angle must lie in [0, pi], got {theta}")
-    if delta < 0:
-        raise DomainError(f"separation must be >= 0, got {delta}")
-    return float(ndtr(-delta * math.cos(theta)))
-
-
-def angle_density(theta: float, p: int) -> float:
-    """Density sin^{p−2}θ / B(1/2, (p−1)/2) of the angle between random directions in R^p."""
-    if p < 2:
-        raise DomainError(f"dimension must be >= 2, got {p}")
-    lognorm = betaln(0.5, 0.5 * (p - 1))
-    s = math.sin(theta)
-    if s <= 0.0:
-        return 0.0 if p > 2 else float(np.exp(-lognorm))
-    return float(np.exp((p - 2) * math.log(s) - lognorm))
+def perceptron_risk(w: WeightVector, spec: GaussianClassSpec) -> float:
+    """Risk Φ(−Δ·w₁) of the unit weight vector w on the classes of ``spec``."""
+    return float(ndtr(-spec.delta * w.values[0]))
 
 
 def _inv_arg(r: float, spec: GaussianClassSpec) -> float:
@@ -109,25 +92,10 @@ def risk_entropy(r: float, spec: GaussianClassSpec) -> float:
     return float(0.5 * (spec.p - 3) * np.log1p(-u * u) + 0.5 * x * x)
 
 
-def risk_entropy_per_feature_limit(r: float, spec: GaussianClassSpec) -> float:
-    """Large-p limit of s(r)/p, which is (1/2)·log(1 − (Φ⁻¹(r)/Δ)²)."""
-    x = _inv_arg(r, spec)
-    u = x / spec.delta
-    return float(0.5 * np.log1p(-u * u))
-
-
 def risk_density(r: float, spec: GaussianClassSpec) -> float:
-    """Full risk density ρ(r) including the √(2π)/(Δ·B(1/2,(p−1)/2)) prefactor."""
-    x = _inv_arg(r, spec)
-    u = x / spec.delta
-    logrho = (
-        math.log(_SQRT2PI)
-        - math.log(spec.delta)
-        - betaln(0.5, 0.5 * (spec.p - 1))
-        + 0.5 * (spec.p - 3) * np.log1p(-u * u)
-        + 0.5 * x * x
-    )
-    return float(np.exp(logrho))
+    """Full risk density ρ(r) = e^{s(r)} times the √(2π)/(Δ·B(1/2,(p−1)/2)) prefactor."""
+    log_norm = math.log(_SQRT2PI) - math.log(spec.delta) - betaln(0.5, 0.5 * (spec.p - 1))
+    return float(np.exp(risk_entropy(r, spec) + log_norm))
 
 
 def _boltzmann_log_weight(theta, beta, spec):
@@ -170,14 +138,10 @@ def boltzmann_risk_exact(beta: float, spec: GaussianClassSpec) -> float:
     den, den_err = integrate.quad(weight, 0.0, math.pi, **quad)
     num, num_err = integrate.quad(risk_weight, 0.0, math.pi, **quad)
     if den <= 0.0:
-        raise QuadratureError("Boltzmann normalisation underflowed to zero", achieved=den_err)
+        raise QuadratureError(f"Boltzmann normalisation underflowed to zero (error estimate {den_err:.3e})")
     achieved = abs(den_err / den) + (abs(num_err / num) if num != 0.0 else 0.0)
     if achieved > _QUAD_REL_TOL:
-        raise QuadratureError(
-            f"quadrature reached relative error {achieved:.3e} > {_QUAD_REL_TOL:.3e}",
-            achieved=achieved,
-            requested=_QUAD_REL_TOL,
-        )
+        raise QuadratureError(f"quadrature reached relative error {achieved:.3e} > {_QUAD_REL_TOL:.3e}")
     return float(num / den)
 
 
@@ -188,15 +152,6 @@ def hebbian_expected_risk(m: int, spec: GaussianClassSpec) -> float:
     if spec.delta == 0.0:
         return 0.5
     return float(ndtr(-spec.delta / math.sqrt(1.0 + spec.p / (m * spec.delta**2))))
-
-
-def hebbian_asymptote(m: int, spec: GaussianClassSpec) -> float:
-    """Large-m expansion Φ(−Δ)·(1 + p/(2m)) of the Hebbian learning curve."""
-    if m < 1:
-        raise DomainError(f"sample count must be >= 1, got {m}")
-    if spec.delta == 0.0:
-        return 0.5
-    return float(ndtr(-spec.delta) * (1.0 + spec.p / (2.0 * m)))
 
 
 def hebbian_simulate(

@@ -33,7 +33,6 @@ __all__ = [
     "PredictorSpec",
     "WeightVector",
     "weight_count",
-    "predict",
     "predict_batch",
     "empirical_risk",
     "random_weights",
@@ -157,14 +156,6 @@ def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.nda
     if spec.kind == SPHERE_LINEAR:
         return (X @ w.values > 0.0).astype(np.int64)
     return _mlp_classes(spec, w, augmented_t(X)).astype(np.int64)
-
-
-def predict(spec: PredictorSpec, w: WeightVector, x: np.ndarray) -> int:
-    """Class index for a single feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.input_dim,):
-        raise DomainError(f"feature vector has shape {x.shape}, spec needs ({spec.input_dim},)")
-    return int(predict_batch(spec, w, x[None, :])[0])
 
 
 def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> float:

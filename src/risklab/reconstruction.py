@@ -60,10 +60,6 @@ class EntropyCurve:
         object.__setattr__(self, "pooled", pooled)
 
     @property
-    def anchor(self) -> tuple:
-        return float(self.r[0]), float(self.s[0])
-
-    @property
     def size(self) -> int:
         return self.r.size
 

@@ -64,9 +64,7 @@ def mu_per_example(r: float, q: float) -> float:
 
     val, err = integrate.quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
     if val != 0.0 and abs(err / val) > 1e-8:
-        raise QuadratureError(
-            f"mu integral reached relative error {abs(err / val):.3e}", achieved=abs(err / val)
-        )
+        raise QuadratureError(f"mu integral reached relative error {abs(err / val):.3e}")
     return float(val)
 
 
@@ -92,10 +90,7 @@ def _overlap_integral(q: float) -> float:
 
     val, err = integrate.quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
     if abs(err / val) > 1e-10:
-        raise QuadratureError(
-            f"overlap integral reached relative error {abs(err / val):.3e}",
-            achieved=abs(err / val),
-        )
+        raise QuadratureError(f"overlap integral reached relative error {abs(err / val):.3e}")
     return float(val)
 
 
@@ -118,13 +113,11 @@ def solve_saddle(alpha: float) -> ReplicaState:
     f_lo, f_hi = saddle_residual(lo, alpha), saddle_residual(hi, alpha)
     if f_lo * f_hi > 0:
         raise BracketError(
-            f"no sign change on [{lo}, {hi}] for alpha={alpha}",
-            residual_lo=f_lo,
-            residual_hi=f_hi,
+            f"no sign change on [{lo}, {hi}] for alpha={alpha}: residuals {f_lo:.3e}, {f_hi:.3e}"
         )
     q = optimize.brentq(saddle_residual, lo, hi, args=(alpha,), xtol=1e-14, rtol=8.9e-16)
     res = saddle_residual(q, alpha)
     if abs(res) > _RESIDUAL_TOL:
-        raise BracketError(f"saddle residual {res:.3e} above tolerance", residual_lo=res)
+        raise BracketError(f"saddle residual {res:.3e} above tolerance")
     r = math.acos(q) / math.pi
     return ReplicaState(alpha=float(alpha), q=float(q), r=float(r))

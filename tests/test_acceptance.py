@@ -372,7 +372,7 @@ def test_criterion_09_teacher_realisability(acc_dir):
                       "--save-teacher", str(teacher_bin), "--out", str(relab_csv)],
             [relab_csv, teacher_bin])
     spec = PredictorSpec(kind="mlp", input_dim=10, layer_sizes=(8, 2))
-    relabeled = dataset_from_csv(relab_csv, class_count=2)
+    relabeled = dataset_from_csv(relab_csv)
     teacher = load_weight_vector(teacher_bin)
     teacher_risk = empirical_risk(spec, teacher, relabeled)
 

@@ -311,7 +311,7 @@ class TestDataPipeline:
                          "--layer-sizes", "4,3", "--teacher-seed", "9",
                          "--save-teacher", str(teacher_bin),
                          "--out", str(relabeled_csv)]) == 0
-        back = dataset_from_csv(relabeled_csv, class_count=3)
+        back = dataset_from_csv(relabeled_csv)
         assert back.n == 50
         assert teacher_bin.exists()
         # teacher reproduces its own labels exactly
@@ -414,7 +414,12 @@ class TestSamplingCommands:
         assert converged[0] is converged[2] is False
         assert scales[0] == scales[2] == math.pi
 
-    @pytest.mark.parametrize("flags", [["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"]])
+    @pytest.mark.parametrize("flags", [
+        ["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"],
+        # the machine's class pair refuses these, as analytic boltzmann-risk does
+        ["--machine", "perceptron-exact", "--beta-grid", "0,3", "--delta", "-1"],
+        ["--machine", "perceptron-exact", "--beta-grid", "0,3", "--p", "1"],
+    ])
     def test_non_finite_chain_parameter_exits_two(self, tmp_path, flags):
         out = tmp_path / "x.csv"
         code = dispatch(["sample", "boltzmann-sweep", "--p", "5", "--delta", "2",

@@ -120,7 +120,7 @@ class TestLoadIdx:
         pixels = rng.integers(0, 256, size=(7, 12), dtype=np.uint8)
         data = LabelledDataset(pixels / 255.0, rng.integers(0, 10, 7), class_count=10)
         write_idx(data, tmp_path / "i.idx", tmp_path / "l.idx", rows=3, cols=4)
-        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx", class_count=10)
+        back = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
         assert (back.features == data.features).all()
         assert (back.labels == data.labels).all()
 
@@ -223,7 +223,7 @@ class TestCsv:
         dataset_to_csv(data, path)
         header = path.read_text().splitlines()[0]
         assert header == "label,f0,f1,f2,f3"
-        back = dataset_from_csv(path, class_count=2)
+        back = dataset_from_csv(path)
         assert (back.features == data.features).all()
         assert (back.labels == data.labels).all()
 
@@ -250,7 +250,7 @@ class TestCsv:
         path, generic = folder / "d.csv", folder / "generic.csv"
         labels = np.arange(features.shape[0]) * 5 % 12  # 0, 5, 10, 3, ...: labels >= 2 too
         dataset_to_csv(LabelledDataset(features, labels, 12), path)
-        back = dataset_from_csv(path, class_count=12)
+        back = dataset_from_csv(path)
         assert back.features.flags.c_contiguous
         assert (back.features.view(np.int64) == features.view(np.int64)).all()
         assert (back.labels == labels).all()

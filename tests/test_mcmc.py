@@ -2,11 +2,11 @@ import math
 import multiprocessing
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr
 
 import risklab.mcmc as mcmc
 from risklab import (
@@ -22,6 +22,7 @@ from risklab import (
     gen_gaussian_pair,
     metropolis_step,
     minibatch_proposal_step,
+    perceptron_risk,
     propose,
     random_weights,
     run_chain,
@@ -415,9 +416,7 @@ PSPEC = PredictorSpec(kind="sphere_linear", input_dim=20)
 GSPEC = GaussianClassSpec(20, 2.0)
 
 
-def exact_perceptron_risk(w):
-    # target along the first axis; risk from the cosine alone
-    return float(ndtr(-2.0 * w.values[0]))
+exact_perceptron_risk = partial(perceptron_risk, spec=GSPEC)
 
 
 def _two_chain_sweep():

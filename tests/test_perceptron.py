@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import ndtr, roots_legendre
+from scipy.special import ndtr, ndtri, roots_legendre
 
 from risklab import (
     GaussianClassSpec,
-    angle_density,
+    WeightVector,
     boltzmann_risk_exact,
-    hebbian_asymptote,
     hebbian_expected_risk,
     hebbian_simulate,
     perceptron_risk,
     risk_density,
     risk_entropy,
-    risk_entropy_per_feature_limit,
 )
 from risklab.errors import DomainError
 
@@ -36,58 +34,40 @@ def sphere_risks(p, delta, n, seed):
     return ndtr(-delta * cos)
 
 
+def at_angle(theta, p=3):
+    """Unit weight vector in R^p at angle theta to the first-axis target."""
+    values = np.zeros(p)
+    values[:2] = math.cos(theta), math.sin(theta)
+    return WeightVector(values, "unit_sphere").validate()
+
+
 class TestPerceptronRisk:
     def test_right_angle_is_half(self):
-        assert perceptron_risk(math.pi / 2, 3.0) == pytest.approx(0.5, abs=1e-15)
+        risk = perceptron_risk(at_angle(math.pi / 2), GaussianClassSpec(3, 3.0))
+        assert risk == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_separation_is_half(self):
-        assert perceptron_risk(0.0, 0.0) == pytest.approx(0.5, abs=1e-15)
+        risk = perceptron_risk(at_angle(0.0), GaussianClassSpec(3, 0.0))
+        assert risk == pytest.approx(0.5, abs=1e-15)
 
     def test_aligned_weight_value(self):
         # oracle: error-function series
-        assert perceptron_risk(0.0, 2.0) == pytest.approx(normal_cdf_oracle(-2.0), abs=1e-13)
-
-    def test_rejects_angle_outside_range(self):
-        with pytest.raises(DomainError):
-            perceptron_risk(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            perceptron_risk(math.pi + 0.1, 1.0)
+        risk = perceptron_risk(at_angle(0.0), GaussianClassSpec(3, 2.0))
+        assert risk == pytest.approx(normal_cdf_oracle(-2.0), abs=1e-13)
 
     @given(
         theta=st.floats(0.0, math.pi),
         delta=st.floats(0.0, 6.0),
     )
     def test_complement_identity(self, theta, delta):
-        total = perceptron_risk(theta, delta) + perceptron_risk(math.pi - theta, delta)
+        spec, w = GaussianClassSpec(3, delta), at_angle(theta)
+        total = perceptron_risk(w, spec) + perceptron_risk(WeightVector(-w.values), spec)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_angle(self):
-        thetas = np.linspace(0, math.pi, 101)
-        risks = [perceptron_risk(t, 2.0) for t in thetas]
+        spec = GaussianClassSpec(3, 2.0)
+        risks = [perceptron_risk(at_angle(t), spec) for t in np.linspace(0, math.pi, 101)]
         assert all(r2 >= r1 for r1, r2 in zip(risks, risks[1:]))
-
-
-class TestAngleDensity:
-    def test_two_dimensions_flat(self):
-        # B(1/2, 1/2) = pi, so the density is 1/pi at every angle
-        for theta in (0.0, 0.7, math.pi / 2, math.pi):
-            assert angle_density(theta, 2) == pytest.approx(1 / math.pi, rel=1e-12)
-
-    @pytest.mark.parametrize("p", [2, 5, 50])
-    def test_normalises(self, p):
-        val, _ = integrate.quad(lambda t: angle_density(t, p), 0, math.pi)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_value_against_quadrature_oracle(self):
-        # oracle: normalise sin^3 by its own quadrature, independent of Beta
-        norm, _ = integrate.quad(lambda t: math.sin(t) ** 3, 0, math.pi)
-        oracle = math.sin(math.pi / 4) ** 3 / norm
-        assert angle_density(math.pi / 4, 5) == pytest.approx(oracle, rel=1e-10)
-        assert oracle == pytest.approx(0.2651650429449553, rel=1e-12)
-
-    def test_rejects_low_dimension(self):
-        with pytest.raises(DomainError):
-            angle_density(0.3, 1)
 
 
 class TestRiskEntropy:
@@ -125,9 +105,10 @@ class TestRiskEntropy:
         assert abs(lhs - rhs) <= noise + 0.01
 
     def test_per_feature_limit_at_large_p(self):
+        # oracle: the large-p limit of s(r)/p, (1/2)·log(1 − (Φ⁻¹(r)/Δ)²)
         delta = 2.0
         r = 0.3
-        lim = risk_entropy_per_feature_limit(r, GaussianClassSpec(10, delta))
+        lim = 0.5 * math.log1p(-((ndtri(r) / delta) ** 2))
         for p, tol in [(100, 2e-2), (10_000, 1e-4)]:
             spec = GaussianClassSpec(p, delta)
             assert risk_entropy(r, spec) / p == pytest.approx(lim, abs=tol)
@@ -218,7 +199,6 @@ class TestHebbian:
     def test_zero_separation(self):
         spec = GaussianClassSpec(100, 0.0)
         assert hebbian_expected_risk(17, spec) == 0.5
-        assert hebbian_asymptote(17, spec) == 0.5
 
     def test_closed_form_value(self):
         # oracle: error-function series for Phi(-2 / sqrt(1.25))
@@ -228,12 +208,17 @@ class TestHebbian:
         assert expected == pytest.approx(0.036819135060151324, abs=1e-15)
 
     def test_asymptote_consistency(self):
+        # oracle: the large-m expansion Φ(−Δ)·(1 + p/(2m)) of the learning curve
         spec = GaussianClassSpec(100, 2.0)
-        ratio = hebbian_expected_risk(10**6, spec) / hebbian_asymptote(10**6, spec)
+
+        def asymptote(m):
+            return normal_cdf_oracle(-2.0) * (1.0 + 100 / (2.0 * m))
+
+        ratio = hebbian_expected_risk(10**6, spec) / asymptote(10**6)
         assert ratio == pytest.approx(1.0, abs=1e-3)
         # 1% agreement already at m = 1000
         exact = hebbian_expected_risk(1000, spec)
-        assert abs(hebbian_asymptote(1000, spec) - exact) / exact < 0.01
+        assert abs(asymptote(1000) - exact) / exact < 0.01
 
     def test_monotone_in_m_and_p(self):
         for m1, m2 in [(1, 10), (10, 100), (100, 1000)]:

@@ -15,7 +15,6 @@ from risklab import (
     empirical_risk,
     gen_gaussian_pair,
     perceptron_risk,
-    predict,
     predict_batch,
     random_weights,
     weight_count,
@@ -61,13 +60,13 @@ class TestPredict:
     def test_aligned_input_is_class_one(self):
         x = np.array([3.0, -1.0, 2.0, 0.5])
         w = WeightVector(x / np.linalg.norm(x), "unit_sphere").validate()
-        assert predict(sphere_spec(), w, x) == 1
+        assert predict_batch(sphere_spec(), w, x[None, :]).tolist() == [1]
 
     def test_zero_mlp_ties_break_low(self):
         spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(4, 3))
         w = WeightVector(np.zeros(weight_count(spec)))
         for x in (np.zeros(3), np.array([1.0, -2.0, 0.3])):
-            assert predict(spec, w, x) == 0
+            assert predict_batch(spec, w, x[None, :]).tolist() == [0]
 
     def test_hand_computed_forward_pass(self):
         # x = [1, -2, 0.5]; layer 1 pre-activations [1.6, -1.2] -> relu [1.6, 0];
@@ -80,7 +79,7 @@ class TestPredict:
             + [0.0, -0.5]                      # b2
         )
         w = WeightVector(flat)
-        assert predict(spec, w, np.array([1.0, -2.0, 0.5])) == 1
+        assert predict_batch(spec, w, np.array([[1.0, -2.0, 0.5]])).tolist() == [1]
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(0)
@@ -93,9 +92,9 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            predict(sphere_spec(4), WeightVector(np.zeros(3), "unconstrained"), np.zeros(4))
+            predict_batch(sphere_spec(4), WeightVector(np.zeros(3), "unconstrained"), np.zeros((1, 4)))
         with pytest.raises(DomainError):
-            predict(sphere_spec(4), random_weights(sphere_spec(4), 1.0, 0), np.zeros(5))
+            predict_batch(sphere_spec(4), random_weights(sphere_spec(4), 1.0, 0), np.zeros((1, 5)))
 
 
 class TestEmpiricalRisk:
@@ -143,14 +142,13 @@ class TestEmpiricalRisk:
         assert abs(mean - 0.5) <= 3 * stderr
 
     def test_matches_angle_risk_at_scale(self):
-        # empirical risk converges to Phi(-delta cos theta) at ~3/sqrt(n)
+        # empirical risk converges to Phi(-delta w_1) at ~3/sqrt(n)
         n = 100_000
         spec = sphere_spec(10)
         gauss = GaussianClassSpec(10, 2.0)
         data = gen_gaussian_pair(gauss, n, seed=9)
         w = random_weights(spec, 1.0, seed=10)
-        theta = math.acos(float(np.clip(w.values @ gauss.t, -1, 1)))
-        expected = perceptron_risk(theta, 2.0)
+        expected = perceptron_risk(w, gauss)
         assert abs(empirical_risk(spec, w, data) - expected) <= 3 / math.sqrt(n)
 
 

@@ -58,12 +58,12 @@ class TestReconstructBasics:
     def test_anchor_only(self):
         entropy = reconstruct(curve_from([0.0], [0.9]), anchor_s0=0.0)
         assert entropy.size == 1
-        assert entropy.anchor == (0.9, 0.0)
+        assert (entropy.r[0], entropy.s[0]) == (0.9, 0.0)
 
     def test_anchor_is_smallest_beta_point(self):
         curve = curve_from([2.0, 5.0, 9.0], [0.7, 0.6, 0.5])
         entropy = reconstruct(curve, anchor_s0=1.5)
-        assert entropy.anchor == (0.7, 1.5)
+        assert (entropy.r[0], entropy.s[0]) == (0.7, 1.5)
         assert entropy.s[0] == 1.5
 
     def test_gauge_shift_moves_everything(self):
@@ -181,7 +181,7 @@ class TestPredictedAnnealedRisk:
     def test_no_data_stays_at_anchor(self):
         entropy = self._round_trip_curve([0.0, 2.0, 5.0, 12.0, 30.0])
         predicted = predicted_annealed_risk(entropy, 0)
-        assert predicted == pytest.approx(entropy.anchor[0], abs=0.01)
+        assert predicted == pytest.approx(entropy.r[0], abs=0.01)
 
     def test_matches_closed_form_pipeline_at_m_200(self):
         betas = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0]
