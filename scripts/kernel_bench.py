@@ -41,7 +41,7 @@ def time_kernel(layer_sizes, repeats, calls, seed):
     pair = gen_gaussian_pair(GaussianClassSpec(P, 2.0), N, seed)
     classes = layer_sizes[-1]
     labels = np.random.default_rng(seed).integers(0, classes, N)
-    data = LabelledDataset(pair.features, labels, classes)
+    data = LabelledDataset(pair.features, labels)
     w = random_weights(spec, 1.0, seed)
     empirical_risk(spec, w, data)
     blocks = []

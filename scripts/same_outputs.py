@@ -52,7 +52,7 @@ def main(out: Path):
 
     run("data", "gen-gaussian", "--p", 8, "--delta", 2, "--n", 401, "--seed", 88, "--out", o("data.csv"))
     rng = np.random.default_rng(3)
-    pixels = LabelledDataset(rng.integers(0, 256, (37, 12)) / 255.0, rng.integers(0, 10, 37), 10)
+    pixels = LabelledDataset(rng.integers(0, 256, (37, 12)) / 255.0, rng.integers(0, 10, 37))
     write_idx(pixels, o("images.idx"), o("labels.idx"), rows=3, cols=4)
     run("data", "load-idx", "--images", o("images.idx"), "--labels", o("labels.idx"), "--out", o("idx.csv"))
     run("data", "relabel", "--data", o("data.csv"), "--kind", "sphere-linear", "--teacher-seed", 9,

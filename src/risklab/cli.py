@@ -78,6 +78,7 @@ class Opt:
     required: bool = False
     help: str = ""
     is_flag: bool = False
+    file: str = ""  # "in" or "out": dispatch fingerprints the file it names into the manifest
 
     @property
     def dest(self):
@@ -254,7 +255,6 @@ def _build_machine(params, manifest):
     if params["data"] is None:
         raise ConfigError(f"{machine} needs --data")
     data = dataset_from_csv(params["data"])
-    manifest.add_input(params["data"])
     spec = _predictor_spec(machine, data.feature_dim, params["layer_sizes"])
     if data.labels.max() >= spec.class_count:
         raise ConfigError(f"{params['data']}: label {data.labels.max()} is out of reach of "
@@ -293,7 +293,6 @@ def _run_sweep(params, manifest, mode, grid_column):
         [grid_column, "risk", "stderr", "acceptance_rate", "ess"],
         [(p.beta, p.risk, p.stderr, p.acceptance_rate, p.ess) for p in sweep.curve.points],
     )
-    manifest.add_output(out)
     chains_dir = f"{out}.chains"
     os.makedirs(chains_dir, exist_ok=True)
     for lane, results in enumerate(sweep.runs):
@@ -313,7 +312,7 @@ def _run_sweep(params, manifest, mode, grid_column):
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns its (header, rows) table for dispatch to
-# write to --out, or None when it writes and registers its own files
+# write to --out, or None when it writes its own files
 
 
 def _cmd_analytic_perceptron_entropy(params, manifest):
@@ -339,7 +338,6 @@ def _cmd_analytic_gardner(params, manifest):
 
 def _cmd_analytic_gibbs_annealed(params, manifest):
     curve = read_entropy_csv(params["entropy"])
-    manifest.add_input(params["entropy"])
     return ["m", "predicted_risk"], [(m, predicted_annealed_risk(curve, int(m)))
                                      for m in params["m_grid"]]
 
@@ -357,60 +355,48 @@ def _cmd_simulate_hebbian(params, manifest):
 def _cmd_data_gen_gaussian(params, manifest):
     data = gen_gaussian_pair(_gaussian(params), params["n"], stream(params["seed"]))
     dataset_to_csv(data, params["out"])
-    manifest.add_output(params["out"])
 
 
 def _cmd_data_load_idx(params, manifest):
-    data = load_idx(params["images"], params["labels"])
-    manifest.add_input(params["images"])
-    manifest.add_input(params["labels"])
-    dataset_to_csv(data, params["out"])
-    manifest.add_output(params["out"])
+    dataset_to_csv(load_idx(params["images"], params["labels"]), params["out"])
 
 
 def _cmd_data_relabel(params, manifest):
     data = dataset_from_csv(params["data"])
-    manifest.add_input(params["data"])
     spec = _predictor_spec(params["kind"], data.feature_dim, params["layer_sizes"])
     if params["teacher_weights"]:
         w_star = load_weight_vector(params["teacher_weights"], spec.weight_constraint)
-        manifest.add_input(params["teacher_weights"])
     else:
         if params["teacher_seed"] is None:
             raise ConfigError("need --teacher-weights or --teacher-seed")
         w_star = random_weights(spec, 1.0, stream(params["teacher_seed"]))
     dataset_to_csv(teacher_relabel(data, spec, w_star), params["out"])
-    manifest.add_output(params["out"])
     if params["save_teacher"]:
         save_weight_vector(w_star, params["save_teacher"])
-        manifest.add_output(params["save_teacher"])
 
 
 def _cmd_reconstruct_entropy(params, manifest):
     curve = read_curve_csv(params["curve"])
-    manifest.add_input(params["curve"])
     entropy = reconstruct(curve, anchor_s0=params["anchor_s0"])
     return ["r", "s", "pooled_flag"], zip(entropy.r, entropy.s, entropy.pooled)
 
 
 def _cmd_fit_quadratic(params, manifest):
     curve = read_entropy_csv(params["entropy"])
-    manifest.add_input(params["entropy"])
     c0, c1, c2, rms = quadratic_fit(curve)
     payload = {"c0": c0, "c1": c1, "c2": c2, "residual_rms": rms}
     atomic_write(params["out"], [json.dumps(payload, indent=2), "\n"])
-    manifest.add_output(params["out"])
     manifest.record["fit"] = payload
 
 
-_OUT = Opt("--out", str, required=True)
+_OUT = Opt("--out", str, required=True, file="out")
 _GAUSSIAN_OPTS = [Opt("--p", int, required=True), Opt("--delta", float, required=True)]
 _MACHINE_OPTS = [
     Opt("--machine", str, required=True,
         help="perceptron-exact | sphere-linear | mlp"),
     Opt("--p", int, help="feature dimension (perceptron-exact)"),
     Opt("--delta", float, help="class separation (perceptron-exact)"),
-    Opt("--data", str, help="dataset CSV (sphere-linear / mlp)"),
+    Opt("--data", str, help="dataset CSV (sphere-linear / mlp)", file="in"),
     Opt("--layer-sizes", _int_list, help="mlp layer sizes, e.g. 16,2"),
     Opt("--split", float, help="acceptance-data fraction of the dataset (sphere-linear / mlp; default 0.5)"),
     Opt("--proposal-scale", float, default=0.05),
@@ -442,7 +428,7 @@ _COMMANDS = {
         _cmd_analytic_gardner,
     ),
     ("analytic", "gibbs-annealed"): (
-        [Opt("--entropy", str, required=True), Opt("--m-grid", _int_list, required=True), _OUT],
+        [Opt("--entropy", str, required=True, file="in"), Opt("--m-grid", _int_list, required=True), _OUT],
         _cmd_analytic_gibbs_annealed,
     ),
     ("simulate", "hebbian"): (
@@ -455,13 +441,14 @@ _COMMANDS = {
         _cmd_data_gen_gaussian,
     ),
     ("data", "load-idx"): (
-        [Opt("--images", str, required=True), Opt("--labels", str, required=True), _OUT],
+        [Opt("--images", str, required=True, file="in"), Opt("--labels", str, required=True, file="in"),
+         _OUT],
         _cmd_data_load_idx,
     ),
     ("data", "relabel"): (
-        [Opt("--data", str, required=True), Opt("--kind", str, default="mlp"),
-         Opt("--layer-sizes", _int_list), Opt("--teacher-weights", str),
-         Opt("--teacher-seed", int), Opt("--save-teacher", str), _OUT],
+        [Opt("--data", str, required=True, file="in"), Opt("--kind", str, default="mlp"),
+         Opt("--layer-sizes", _int_list), Opt("--teacher-weights", str, file="in"),
+         Opt("--teacher-seed", int), Opt("--save-teacher", str, file="out"), _OUT],
         _cmd_data_relabel,
     ),
     ("sample", "boltzmann-sweep"): (
@@ -473,11 +460,11 @@ _COMMANDS = {
         partial(_run_sweep, mode="annealed", grid_column="m"),
     ),
     ("reconstruct", "entropy"): (
-        [Opt("--curve", str, required=True), Opt("--anchor-s0", float, default=0.0), _OUT],
+        [Opt("--curve", str, required=True, file="in"), Opt("--anchor-s0", float, default=0.0), _OUT],
         _cmd_reconstruct_entropy,
     ),
     ("fit", "quadratic"): (
-        [Opt("--entropy", str, required=True), _OUT],
+        [Opt("--entropy", str, required=True, file="in"), _OUT],
         _cmd_fit_quadratic,
     ),
 }
@@ -496,11 +483,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _files(opts, params, kind):
+    """The paths given to the file options of ``kind``, "in" or "out"."""
+    return [params[o.dest] for o in opts if o.file == kind and params[o.dest]]
+
+
 def dispatch(argv) -> int:
     """Run one CLI command; returns 0 (ok), 1 (usage), or 2 (runtime failure).
 
-    Owns the run record: creates the manifest, writes the handler's table to
-    ``--out`` and registers it, then writes ``<out>.manifest.json``.
+    Owns the run record: creates the manifest, fingerprints the file options
+    given (``Opt.file``), inputs before the handler runs so that an input the
+    command overwrites is recorded as read, writes the handler's table to
+    ``--out``, then writes ``<out>.manifest.json``.
     """
     parser = _build_parser()
     try:
@@ -510,10 +504,13 @@ def dispatch(argv) -> int:
         opts, handler = _COMMANDS[(args.group, args.name)]
         params = _merge(args, opts)
         manifest = Manifest([args.group, args.name], params)
+        for path in _files(opts, params, "in"):
+            manifest.add_input(path)
         table = handler(params, manifest)
         if table is not None:
             write_csv(params["out"], *table)
-            manifest.add_output(params["out"])
+        for path in _files(opts, params, "out"):
+            manifest.add_output(path)
         manifest.write(params["out"])
         return 0
     except SystemExit as exc:  # --help

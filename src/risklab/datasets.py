@@ -33,11 +33,10 @@ IDX_LABEL_MAGIC = 0x00000801
 
 @dataclass
 class LabelledDataset:
-    """Feature matrix with integer class labels in [0, class_count)."""
+    """Feature matrix with integer class labels >= 0."""
 
     features: np.ndarray
     labels: np.ndarray
-    class_count: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -48,10 +47,8 @@ class LabelledDataset:
             raise DomainError("labels must be one integer per feature row")
         if not np.isfinite(self.features).all():
             raise DomainError("feature rows must be finite")
-        if self.class_count < 1:
-            raise DomainError("class_count must be >= 1")
-        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise DomainError("labels out of range [0, class_count)")
+        if self.labels.min() < 0:
+            raise DomainError("labels must be >= 0")
 
     @property
     def n(self) -> int:
@@ -79,18 +76,19 @@ class LabelledDataset:
 
     def subset(self, indices) -> "LabelledDataset":
         idx = np.asarray(indices)
-        return LabelledDataset(self.features[idx], self.labels[idx], self.class_count)
+        return LabelledDataset(self.features[idx], self.labels[idx])
 
 
 def gen_gaussian_pair(spec: GaussianClassSpec, n: int, seed) -> LabelledDataset:
-    """Draw n examples of the two-Gaussian pair: y uniform, x = (2y−1)·Δ·t + N(0, I)."""
+    """Draw n examples of the two-Gaussian pair: y uniform, x = (2y−1)·Δ·e₁ + N(0, I)."""
     if n < 1:
         raise DomainError(f"need n >= 1 examples, got {n}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 2, size=n)
     signs = 2.0 * labels - 1.0
-    features = signs[:, None] * (spec.delta * spec.t)[None, :] + rng.standard_normal((n, spec.p))
-    return LabelledDataset(features, labels, class_count=2)
+    features = rng.standard_normal((n, spec.p))
+    features[:, 0] += spec.delta * signs
+    return LabelledDataset(features, labels)
 
 
 def _read_exact(path, header_fmt):
@@ -132,7 +130,7 @@ def load_idx(image_path, label_path) -> LabelledDataset:
     pixels = np.frombuffer(img_payload, dtype=np.uint8).reshape(n_img, rows * cols)
     features = pixels.astype(float) / 255.0
     labels = np.frombuffer(lbl_payload, dtype=np.uint8).astype(np.int64)
-    return LabelledDataset(features, labels, int(labels.max()) + 1)
+    return LabelledDataset(features, labels)
 
 
 def write_idx(data: LabelledDataset, image_path, label_path, rows: int, cols: int):
@@ -161,7 +159,7 @@ def teacher_relabel(data: LabelledDataset, spec: PredictorSpec, w_star: WeightVe
     ``data relabel``, which drops the input right away.
     """
     labels = predict_batch(spec, w_star, data.features)
-    return LabelledDataset(data.features, labels, class_count=spec.class_count)
+    return LabelledDataset(data.features, labels)
 
 
 def split(data: LabelledDataset, fraction: float, seed) -> tuple[LabelledDataset, LabelledDataset]:
@@ -318,4 +316,4 @@ def dataset_from_csv(path) -> LabelledDataset:
     if header[0] != "label":
         raise ConfigError(f"{path}: expected a 'label,f0,...' header, got {header[:3]}")
     labels = whole_numbers(path, "labels", table[:, 0])
-    return LabelledDataset(np.ascontiguousarray(table[:, 1:]), labels, int(labels.max()) + 1)
+    return LabelledDataset(table[:, 1:], labels)  # a view: a copy would hold the matrix twice

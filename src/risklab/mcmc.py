@@ -257,7 +257,6 @@ class BoltzmannCurve:
 class ChainResult:
     """Recorded samples and diagnostics of a single chain at one beta."""
 
-    beta: float
     steps: np.ndarray
     risk_acceptance: np.ndarray
     risk_report: np.ndarray
@@ -267,7 +266,6 @@ class ChainResult:
     stderr_report: float
     ess: float
     proposal_scale: float
-    seed_path: tuple
     final_state: ChainState
     calibration_steps: int  # probe steps before burn-in, not in ``steps``
     calibration_converged: bool | None  # None: run without calibration
@@ -562,9 +560,9 @@ def run_chain(
     stderr, ess = _batch_means(risk_rep)
     rate = state.accepts / state.steps_taken if state.steps_taken else 0.0
     return ChainResult(
-        beta=cfg.beta, steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
+        steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
         accepted=accepted, acceptance_rate=rate, mean_report=float(risk_rep.mean()),
-        stderr_report=stderr, ess=ess, proposal_scale=scale, seed_path=tuple(seed_path),
+        stderr_report=stderr, ess=ess, proposal_scale=scale,
         final_state=state, calibration_steps=calibration_steps, calibration_converged=converged,
         phase_s={"calibrate": t_burn - t_start, "burn_in": t_sample - t_burn,
                  "sample": t_end - t_sample},

@@ -19,7 +19,7 @@ w ∝ Σ_k y_k x_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
@@ -50,17 +50,12 @@ class GaussianClassSpec:
 
     p: int
     delta: float
-    # derived in __post_init__: the target direction e₁
-    t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 2:
             raise DomainError(f"feature dimension must be >= 2, got {self.p}")
-        if self.delta < 0:
+        if not self.delta >= 0:  # NaN fails every comparison
             raise DomainError(f"class separation must be >= 0, got {self.delta}")
-        t = np.zeros(self.p)
-        t[0] = 1.0
-        object.__setattr__(self, "t", t)
 
     @property
     def r_min(self) -> float:
@@ -137,10 +132,10 @@ def boltzmann_risk_exact(beta: float, spec: GaussianClassSpec) -> float:
     quad = dict(points=[theta_star], epsabs=0.0, epsrel=_QUAD_REL_TOL * 1e-2, limit=200)
     den, den_err = integrate.quad(weight, 0.0, math.pi, **quad)
     num, num_err = integrate.quad(risk_weight, 0.0, math.pi, **quad)
-    if den <= 0.0:
-        raise QuadratureError(f"Boltzmann normalisation underflowed to zero (error estimate {den_err:.3e})")
+    if not den > 0.0:  # a NaN weight fails too
+        raise QuadratureError(f"Boltzmann normalisation is {den:.3e}, not > 0 (error estimate {den_err:.3e})")
     achieved = abs(den_err / den) + (abs(num_err / num) if num != 0.0 else 0.0)
-    if achieved > _QUAD_REL_TOL:
+    if not achieved <= _QUAD_REL_TOL:
         raise QuadratureError(f"quadrature reached relative error {achieved:.3e} > {_QUAD_REL_TOL:.3e}")
     return float(num / den)
 
@@ -174,9 +169,10 @@ def hebbian_simulate(
         rng = stream(seed, *subseed_path, run)
         signs = 2.0 * rng.integers(0, 2, size=m) - 1.0
         noise = rng.standard_normal((m, spec.p))
-        # sum_k y_k x_k = m*delta*t + sum_k y_k eta_k
-        w_bar = m * spec.delta * spec.t + signs @ noise
-        cos_w = float(w_bar @ spec.t) / float(np.linalg.norm(w_bar))
+        # sum_k y_k x_k = m*delta*e_1 + sum_k y_k eta_k
+        w_bar = signs @ noise
+        w_bar[0] += m * spec.delta
+        cos_w = float(w_bar[0]) / float(np.linalg.norm(w_bar))
         risks[run] = ndtr(-spec.delta * cos_w)
     mean = float(risks.mean())
     stderr = float(risks.std(ddof=1) / math.sqrt(runs))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -5,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,19 @@ class TestDispatchContracts:
         code = dispatch(["fit", "quadratic", "--entropy", str(entropy),
                          "--out", str(tmp_path / "fit.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["analytic", "boltzmann-risk", "--p", "5", "--delta", "nan", "--beta-grid", "0,1"],
+        ["analytic", "hebbian", "--p", "5", "--delta", "nan", "--m-grid", "1,10"],
+        ["simulate", "hebbian", "--p", "5", "--delta", "nan", "--m-grid", "1,10", "--runs", "3",
+         "--seed", "1"],
+        ["analytic", "boltzmann-risk", "--p", "5", "--delta", "2", "--beta-grid", "0,inf"],
+    ], ids=["boltzmann-nan-delta", "hebbian-nan-delta", "simulate-nan-delta", "boltzmann-inf-beta"])
+    def test_nan_result_exits_two(self, tmp_path, command):
+        # a NaN separation or an infinite beta gives nan risks: exit 2, nothing written
+        out = tmp_path / "o.csv"
+        assert dispatch(command + ["--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, message", [
         (["sample", "boltzmann-sweep", "--machine", "svm", "--data", "{data}", "--beta-grid", "0,1",
@@ -294,6 +309,59 @@ class TestDeterminismAndManifest:
         assert manifest["outputs"][0]["path"] == str(out)
         assert manifest["master_seed"] == 5
         assert len(manifest["outputs"][0]["sha256"]) == 64
+
+    def test_manifest_fingerprints_every_file_option(self, tmp_path):
+        # the manifest lists exactly the file options given, plus a sweep's chain CSVs
+        def f(name):
+            return str(tmp_path / name)
+
+        def fingerprinted(*argv):
+            argv = [str(a) for a in argv]
+            assert dispatch(argv) == 0
+            out = argv[argv.index("--out") + 1]
+            record = json.loads(Path(f"{out}.manifest.json").read_text())
+            for entry in record["dataset_fingerprints"] + record["outputs"]:
+                assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest()
+            return ({e["path"] for e in record["dataset_fingerprints"]},
+                    {e["path"] for e in record["outputs"]})
+
+        Path(f("i.idx")).write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + bytes([0, 255, 51, 102]))
+        Path(f("l.idx")).write_bytes(struct.pack(">II", 0x801, 2) + bytes([1, 0]))
+        assert fingerprinted("data", "load-idx", "--images", f("i.idx"), "--labels", f("l.idx"),
+                             "--out", f("idx.csv")) == ({f("i.idx"), f("l.idx")}, {f("idx.csv")})
+        assert fingerprinted("data", "gen-gaussian", "--p", 3, "--delta", 2, "--n", 40, "--seed", 3,
+                             "--out", f("d.csv")) == (set(), {f("d.csv")})
+        relabel = ["data", "relabel", "--data", f("d.csv"), "--kind", "sphere-linear"]
+        assert fingerprinted(*relabel, "--teacher-seed", 9, "--save-teacher", f("t.bin"),
+                             "--out", f("r1.csv")) == ({f("d.csv")}, {f("r1.csv"), f("t.bin")})
+        assert fingerprinted(*relabel, "--teacher-weights", f("t.bin"), "--save-teacher", f("t2.bin"),
+                             "--out", f("r2.csv")) == ({f("d.csv"), f("t.bin")},
+                                                       {f("r2.csv"), f("t2.bin")})
+        inputs, outputs = fingerprinted(
+            "sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", f("r2.csv"),
+            "--beta-grid", "0,3", "--burn-in", 5, "--samples", 5, "--seed", 4, "--out", f("s.csv"))
+        chains = {str(p) for p in (tmp_path / "s.csv.chains").glob("*.csv")}
+        assert len(chains) == 2
+        assert (inputs, outputs) == ({f("r2.csv")}, {f("s.csv")} | chains)
+        assert fingerprinted("analytic", "boltzmann-risk", "--p", 20, "--delta", 2,
+                             "--beta-grid", "0,5,10,20,40", "--out", f("c.csv")) == (set(), {f("c.csv")})
+        assert fingerprinted("reconstruct", "entropy", "--curve", f("c.csv"),
+                             "--out", f("e.csv")) == ({f("c.csv")}, {f("e.csv")})
+        assert fingerprinted("analytic", "gibbs-annealed", "--entropy", f("e.csv"), "--m-grid", 10,
+                             "--out", f("g.csv")) == ({f("e.csv")}, {f("g.csv")})
+        assert fingerprinted("fit", "quadratic", "--entropy", f("e.csv"),
+                             "--out", f("fit.json")) == ({f("e.csv")}, {f("fit.json")})
+
+    def test_manifest_records_an_overwritten_input_as_read(self, tmp_path):
+        data = tmp_path / "d.csv"
+        assert dispatch(["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "20",
+                         "--seed", "1", "--out", str(data)]) == 0
+        before = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert dispatch(["data", "relabel", "--data", str(data), "--kind", "sphere-linear",
+                         "--teacher-seed", "2", "--out", str(data)]) == 0
+        record = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+        assert record["dataset_fingerprints"][0]["sha256"] == before
+        assert record["outputs"][0]["sha256"] == hashlib.sha256(data.read_bytes()).hexdigest() != before
 
     @given(value=st.floats(allow_nan=False, allow_infinity=False))
     def test_seventeen_digits_round_trip(self, value):

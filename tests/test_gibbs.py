@@ -206,12 +206,13 @@ def test_single_valued_settings_are_not_parameters():
         risklab.perceptron.GaussianClassSpec: {"t"},
         risklab.datasets.dataset_from_csv: {"class_count"},
         risklab.datasets.load_idx: {"class_count"},
+        risklab.datasets.LabelledDataset: {"class_count"},
     }
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__qualname__
     with pytest.raises(TypeError):
         GaussianClassSpec(3, 1.0, t=np.array([0.0, 1.0, 0.0]))
-    assert GaussianClassSpec(3, 1.0).t.tolist() == [1.0, 0.0, 0.0]
+    assert not hasattr(GaussianClassSpec(3, 1.0), "t")  # the target is e₁ by definition
     # mu_prime and load_config's known keys have no default any more
     required = inspect.Parameter.empty
     assert inspect.signature(TrainingRatioModel).parameters["mu_prime"].default is required
@@ -265,3 +266,15 @@ def test_every_exported_name_has_a_caller():
         exported.update(getattr(importlib.import_module(f"risklab.{path.stem}"), "__all__", ()))
     uncalled = sorted(exported - referenced)
     assert uncalled == sorted(_AWAITING_A_CALLER)
+
+
+def test_package_exports_every_module_all():
+    # risklab/__init__.py re-exports each library module's __all__ and names nothing itself
+    modules = ("perceptron", "replica", "gibbs", "predictors", "datasets", "mcmc", "reconstruction")
+    exported = set()
+    for name in modules:
+        exported.update(importlib.import_module(f"risklab.{name}").__all__)
+    package = importlib.import_module("risklab")
+    public = {name for name, value in vars(package).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported

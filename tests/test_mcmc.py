@@ -426,7 +426,7 @@ def _two_chain_sweep():
 
 
 def same_chain(a, b):
-    return (a.seed_path == b.seed_path and a.proposal_scale == b.proposal_scale
+    return (a.proposal_scale == b.proposal_scale
             and (a.steps == b.steps).all() and (a.accepted == b.accepted).all()
             and (a.risk_acceptance == b.risk_acceptance).all()
             and (a.risk_report == b.risk_report).all())

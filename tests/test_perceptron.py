@@ -252,11 +252,15 @@ class TestHebbian:
 
 class TestGaussianClassSpec:
     def test_default_target_is_unit(self):
+        # the target is e₁: the unit vector along it reaches the minimum risk
         spec = GaussianClassSpec(5, 1.0)
-        assert np.linalg.norm(spec.t) == pytest.approx(1.0, abs=1e-15)
+        assert perceptron_risk(at_angle(0.0, p=5), spec) == spec.r_min
 
     def test_rejects_small_dimension_and_negative_delta(self):
         with pytest.raises(DomainError):
             GaussianClassSpec(1, 1.0)
         with pytest.raises(DomainError):
             GaussianClassSpec(5, -0.5)
+        with pytest.raises(DomainError):
+            GaussianClassSpec(5, float("nan"))
+        assert GaussianClassSpec(5, float("inf")).r_min == 0.0  # the noise-free limit

@@ -103,7 +103,7 @@ class TestEmpiricalRisk:
         spec = PredictorSpec(kind="mlp", input_dim=5, layer_sizes=(6, 3))
         w = random_weights(spec, 1.0, rng)
         X = rng.standard_normal((200, 5))
-        data = LabelledDataset(X, predict_batch(spec, w, X), class_count=3)
+        data = LabelledDataset(X, predict_batch(spec, w, X))
         assert empirical_risk(spec, w, data) == 0.0
 
     def test_constant_predictor_on_balanced_classes(self):
@@ -111,7 +111,7 @@ class TestEmpiricalRisk:
         w = WeightVector(np.zeros(weight_count(spec)))  # always predicts class 0
         X = np.zeros((400, 2))
         labels = np.repeat(np.arange(4), 100)
-        data = LabelledDataset(X, labels, class_count=4)
+        data = LabelledDataset(X, labels)
         assert empirical_risk(spec, w, data) == pytest.approx(1 - 1 / 4)
 
     def test_hand_counted_fraction(self):
@@ -119,14 +119,14 @@ class TestEmpiricalRisk:
         spec = sphere_spec(2)
         w = WeightVector(np.array([1.0, 0.0]), "unit_sphere").validate()
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-2.0, 3.0], [0.1, -5.0]])
-        data = LabelledDataset(X, np.array([1, 1, 0, 0, 1]), class_count=2)
+        data = LabelledDataset(X, np.array([1, 1, 0, 0, 1]))
         assert empirical_risk(spec, w, data) == pytest.approx(0.4)
 
     def test_subset_and_empty_subset(self):
         spec = sphere_spec(2)
         w = WeightVector(np.array([1.0, 0.0]), "unit_sphere").validate()
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        data = LabelledDataset(X, np.array([1, 1]), class_count=2)
+        data = LabelledDataset(X, np.array([1, 1]))
         assert empirical_risk(spec, w, data, subset=[0]) == 0.0
         assert empirical_risk(spec, w, data, subset=[1]) == 1.0
         with pytest.raises(DomainError):
@@ -178,7 +178,7 @@ class TestFusedMlpKernel:
         last[fan_in * classes :] = 0.3
         X = np.random.default_rng(12).standard_normal((50, 3))
         assert (predict_batch(spec, w, X) == 0).all()
-        data = LabelledDataset(X, np.zeros(50, dtype=int), class_count=classes)
+        data = LabelledDataset(X, np.zeros(50, dtype=int))
         assert empirical_risk(spec, w, data) == 0.0
         data.labels[:] = 1
         assert empirical_risk(spec, w, data) == 1.0
@@ -197,7 +197,7 @@ class TestFusedMlpKernel:
         expected = np.argmax(scores, axis=1)
         predicted = predict_batch(spec, w, X)
         assert (predicted[clear] == expected[clear]).all()
-        data = LabelledDataset(X, expected, class_count=classes)
+        data = LabelledDataset(X, expected)
         assert empirical_risk(spec, w, data) == np.count_nonzero(predicted != expected) / n
         assert empirical_risk(spec, w, data) <= (n - clear.size) / n
         if clear.size:
@@ -207,10 +207,10 @@ class TestFusedMlpKernel:
         spec = PredictorSpec(kind="mlp", input_dim=4, layer_sizes=(6, 2))
         w = random_weights(spec, 1.0, seed=13)
         X = np.random.default_rng(14).standard_normal((300, 4))
-        data = LabelledDataset(X, predict_batch(spec, w, X), class_count=2)
+        data = LabelledDataset(X, predict_batch(spec, w, X))
         assert empirical_risk(spec, w, data) == 0.0  # builds the feature-major copy
         data.features = -X
-        flipped = LabelledDataset(-X, data.labels, class_count=2)
+        flipped = LabelledDataset(-X, data.labels)
         assert empirical_risk(spec, w, data) == empirical_risk(spec, w, flipped) > 0.0
 
 
