@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .datasets import (atomic_write, dataset_from_csv, dataset_to_csv, gen_gaussian_pair, load_idx,
                        read_table, split, teacher_relabel, whole_numbers, write_csv)
-from .errors import ConfigError, RisklabError
+from .errors import ConfigError, DomainError, RisklabError
 from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, boltzmann_sweep
 from .perceptron import (
     GaussianClassSpec,
@@ -262,6 +262,8 @@ def _build_machine(params, manifest):
     fraction = 0.5 if params["split"] is None else params["split"]
     manifest.record["parameters"]["split"] = fraction
     accept_data, report_data = split(data, fraction, stream(params["seed"], 9000))
+    for part in (accept_data, report_data):
+        part.labels.flags.writeable = False  # the chains only read them; see binary_labels
 
     def risk_fn(w):
         return empirical_risk(spec, w, accept_data)
@@ -316,6 +318,8 @@ def _run_sweep(params, manifest, mode, grid_column):
 
 
 def _cmd_analytic_perceptron_entropy(params, manifest):
+    if params["points"] < 1:  # an empty table is a file every reader refuses
+        raise DomainError(f"need --points >= 1, got {params['points']}")
     spec = _gaussian(params)
     grid = np.linspace(spec.r_min + 1e-4, 1.0 - spec.r_min - 1e-4, params["points"])
     return ["r", "s"], [(r, risk_entropy(float(r), spec)) for r in grid]

@@ -71,6 +71,25 @@ class LabelledDataset:
         return cached[1]
 
     @property
+    def binary_labels(self) -> np.ndarray | None:
+        """A bool copy of read-only ``labels`` whose every entry is 0 or 1, else None.
+
+        The two-class mlp kernel decides in bool, and comparing bool with
+        bool skips casting every decision to int64.  A copy cannot follow
+        writes into the labels, so writeable labels get none; nor do labels
+        with a 2 or more, so such a label still counts as an error.  Cached
+        and rebuilt like ``features_t``.
+        """
+        if self.labels.flags.writeable:
+            return None
+        cached = getattr(self, "_binary_labels", None)
+        if cached is None or cached[0] is not self.labels:
+            as_bool = self.labels.astype(bool)
+            cached = (self.labels, as_bool if (as_bool == self.labels).all() else None)
+            self._binary_labels = cached
+        return cached[1]
+
+    @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 

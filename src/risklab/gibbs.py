@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from .errors import BracketError, DomainError, FitError
 
@@ -120,6 +119,8 @@ def gibbs_risk_saddle(
         return float(hi)
     if g_lo * g_hi > 0:
         raise BracketError(f"no sign change of s' + mu' on [{lo}, {hi}]: residuals {g_lo:.3e}, {g_hi:.3e}")
+    from scipy import optimize
+
     r_star = optimize.brentq(g, lo, hi, xtol=1e-14, rtol=8.9e-16)
     resid = abs(g(r_star))
     scale = abs(float(s_prime(r_star)))

@@ -315,7 +315,7 @@ def sample_without_replacement(rng, n: int, k: int) -> np.ndarray:
     runs Floyd's algorithm in C when k is small against a large n, so large
     datasets with small minibatches never pay for a full permutation.
     """
-    if k > n:
+    if not 0 <= k <= n:
         raise DomainError(f"cannot draw {k} of {n} without replacement")
     if n <= 4096:
         return rng.permutation(n)[:k]
@@ -393,6 +393,8 @@ def minibatch_proposal_step(
         if config.acceptance_data is None:
             raise DomainError("minibatch step needs n_examples or config.acceptance_data")
         n_examples = config.acceptance_data.n
+    if batch_size < 1:
+        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
     if batch_size > n_examples:
         raise DomainError(f"batch_size {batch_size} exceeds dataset size {n_examples}")
     beta = config.beta
@@ -506,7 +508,9 @@ def run_chain(
 ) -> ChainResult:
     """Run one chain: burn-in, then ``samples`` records spaced ``thin`` steps apart.
 
-    The report risk is evaluated only at record time.  In annealed mode the
+    The report risk must be a function of the weights alone: it is
+    evaluated only at record time, and a record whose thin block accepted no
+    move reuses the previous record's value.  In annealed mode the
     config's beta field is read as the sample count m.  Without ``initial``
     the chain starts from ``random_weights`` moved onto the unit sphere.
     With ``calibrate`` the proposal scale is first searched for by
@@ -546,14 +550,17 @@ def run_chain(
     risk_acc = np.empty(cfg.samples)
     risk_rep = np.empty(cfg.samples)
     accepted = np.empty(cfg.samples, dtype=np.int64)
+    reported_w = report = None
     for i in range(cfg.samples):
         before = state.accepts
         advance(cfg, cfg.thin)
         steps[i] = state.steps_taken
         risk_acc[i] = state.current_acceptance_risk
-        risk_rep[i] = (
-            report_risk_fn(state.w) if report_risk_fn is not None else state.current_acceptance_risk
-        )
+        if report_risk_fn is None:
+            report = state.current_acceptance_risk
+        elif state.w is not reported_w:  # an accepted move always makes a new WeightVector
+            reported_w, report = state.w, report_risk_fn(state.w)
+        risk_rep[i] = report
         accepted[i] = 1 if state.accepts > before else 0
     t_end = time.perf_counter()
 

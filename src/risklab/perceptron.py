@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import betaln, ndtr, ndtri
 
 from .errors import DomainError, QuadratureError
@@ -114,6 +113,8 @@ def boltzmann_risk_exact(beta: float, spec: GaussianClassSpec) -> float:
     """
     if beta < 0:
         raise DomainError(f"inverse temperature must be >= 0, got {beta}")
+    from scipy import integrate, optimize
+
     peak = optimize.minimize_scalar(
         lambda th: -_boltzmann_log_weight(th, beta, spec),
         bounds=(0.0, math.pi),

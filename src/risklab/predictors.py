@@ -161,13 +161,15 @@ def predict_batch(spec: PredictorSpec, w: WeightVector, X: np.ndarray) -> np.nda
 def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> float:
     """Fraction of misclassified examples, an exact k/n in floating point.
 
-    mlp risks run on the dataset's cached augmented block ``features_t``.
+    mlp risks run on the dataset's cached augmented block ``features_t``,
+    and two-class ones compare their bool decisions with its
+    ``binary_labels`` when it has them.
     """
     labels = data.labels
     if subset is not None:
         subset = np.asarray(subset, dtype=np.intp)
-        labels = labels[subset]
-    if len(labels) == 0:
+    n = len(labels) if subset is None else len(subset)
+    if n == 0:
         raise DomainError("empty evaluation set")
     if spec.kind == SPHERE_LINEAR:
         features = data.features if subset is None else data.features[subset]
@@ -178,7 +180,11 @@ def empirical_risk(spec: PredictorSpec, w: WeightVector, data, subset=None) -> f
             raise DomainError(f"features have {XT.shape[0] - 1} columns, spec needs {spec.input_dim}")
         _check_weights(spec, w)
         predicted = _mlp_classes(spec, w, XT)
-    return int(np.count_nonzero(predicted != labels)) / len(labels)
+        if predicted.dtype == bool and (binary := data.binary_labels) is not None:
+            labels = binary
+    if subset is not None:
+        labels = labels[subset]
+    return int(np.count_nonzero(predicted != labels)) / n
 
 
 def random_weights(spec: PredictorSpec, scale: float, seed) -> WeightVector:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import BracketError, DomainError, FitError
 from .gibbs import annealed_mu, gibbs_risk_saddle
@@ -136,6 +135,8 @@ def predicted_annealed_risk(curve: EntropyCurve, m: int) -> float:
     """
     if curve.size < 2:
         raise DomainError("need at least 2 curve points to interpolate")
+    from scipy.interpolate import PchipInterpolator
+
     order = np.argsort(curve.r)
     r_sorted = curve.r[order]
     s_sorted = curve.s[order]

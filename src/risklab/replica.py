@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import log_ndtr, ndtr
 
 from .errors import BracketError, DomainError, QuadratureError
@@ -59,6 +58,8 @@ def mu_per_example(r: float, q: float) -> float:
     a = math.sqrt(q / (1.0 - q))
     b = c / math.sqrt(q - c * c)
 
+    from scipy import integrate
+
     def integrand(t):
         return 2.0 * np.exp(-0.5 * t * t) / _SQRT2PI * log_ndtr(a * t) * ndtr(b * t)
 
@@ -84,6 +85,7 @@ def _overlap_integral(q: float) -> float:
     is folded into the exponent via log_ndtr so the negative tail never
     overflows.
     """
+    from scipy import integrate
 
     def integrand(u):
         return np.exp(-0.5 * (1.0 + q) * u * u - log_ndtr(math.sqrt(q) * u)) / _SQRT2PI
@@ -115,6 +117,8 @@ def solve_saddle(alpha: float) -> ReplicaState:
         raise BracketError(
             f"no sign change on [{lo}, {hi}] for alpha={alpha}: residuals {f_lo:.3e}, {f_hi:.3e}"
         )
+    from scipy import optimize
+
     q = optimize.brentq(saddle_residual, lo, hi, args=(alpha,), xtol=1e-14, rtol=8.9e-16)
     res = saddle_residual(q, alpha)
     if abs(res) > _RESIDUAL_TOL:

@@ -93,6 +93,16 @@ class TestDispatchContracts:
         assert dispatch(command + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "0", "--seed", "1"],
+        ["analytic", "perceptron-entropy", "--p", "5", "--delta", "2", "--points", "0"],
+    ], ids=["gen-gaussian-no-rows", "perceptron-entropy-no-points"])
+    def test_empty_table_exits_two(self, tmp_path, command):
+        # a table with a header and no rows is refused by every reader, so none is written
+        out = tmp_path / "o.csv"
+        assert dispatch(command + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, message", [
         (["sample", "boltzmann-sweep", "--machine", "svm", "--data", "{data}", "--beta-grid", "0,1",
           "--seed", "1"], "unknown machine"),
@@ -648,6 +658,55 @@ class TestSameOutputsScript:
         one = digests("1")
         assert len(one) > 100
         assert digests("2") == one
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter that imports risklab from this tree; return its stdout."""
+    src = os.path.dirname(os.path.dirname(risklab.__file__))
+    env = dict(os.environ, RISKLAB_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=env,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestSolverImports:
+    # scipy's solver packages cost ~28 MB and a third of start-up; only the
+    # commands that call them may load them
+    SOLVERS = ("scipy.optimize", "scipy.integrate", "scipy.interpolate")
+    # dispatches the commands in argv[1], then prints which solver packages are loaded
+    SCRIPT = "\n".join([
+        "import json, sys",
+        "from risklab.cli import dispatch",
+        "for argv in json.loads(sys.argv[1]):",
+        "    assert dispatch(argv) == 0, argv",
+        f"print(json.dumps([m for m in {SOLVERS!r} if m in sys.modules]))",
+    ])
+
+    def test_pipeline_without_solvers_never_loads_them(self, tmp_path):
+        f = lambda name: str(tmp_path / name)  # noqa: E731
+        chain = ["--burn-in", "5", "--samples", "5", "--thin", "1", "--seed", "1"]
+        (tmp_path / "exact.csv").write_text("beta,risk\n0,0.5\n2,0.4\n5,0.3\n10,0.2\n20,0.1\n")
+        commands = [
+            ["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "40", "--seed", "1",
+             "--out", f("data.csv")],
+            ["sample", "boltzmann-sweep", "--machine", "mlp", "--data", f("data.csv"),
+             "--layer-sizes", "3,2", "--beta-grid", "0,5", *chain, "--out", f("curve.csv")],
+            ["sample", "annealed", "--machine", "perceptron-exact", "--p", "5", "--delta", "1",
+             "--m-grid", "0,1", *chain, "--out", f("annealed.csv")],
+            ["reconstruct", "entropy", "--curve", f("exact.csv"), "--out", f("entropy.csv")],
+            ["fit", "quadratic", "--entropy", f("entropy.csv"), "--out", f("fit.json")],
+        ]
+        assert json.loads(run_fresh(self.SCRIPT, json.dumps(commands))) == []
+
+    def test_solver_command_runs_first_in_a_fresh_process(self, tmp_path):
+        out = tmp_path / "gardner.csv"
+        loaded = json.loads(run_fresh(self.SCRIPT, json.dumps(
+            [["analytic", "gardner", "--alpha-grid", "1,10", "--out", str(out)]])))
+        assert "scipy.optimize" in loaded and "scipy.integrate" in loaded
+        header, rows = read_rows(out)
+        assert header == ["alpha", "q", "r", "r_times_alpha"] and len(rows) == 2
 
 
 class TestModuleEntryPoint:

@@ -376,6 +376,19 @@ class TestMinibatchProposalStep:
                 np.random.default_rng(0), n_examples=12,
             )
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_raises_before_any_draw(self, batch_size):
+        # a negative size must not slice a batch off the end of the permutation
+        state = toy_state()
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            minibatch_proposal_step(
+                state, config(), 1, batch_size, mb_full_risk, mb_batch_risk, rng, n_examples=12,
+            )
+        assert rng.bit_generator.state == before
+        assert state.steps_taken == 0
+
 
 class TestSampleWithoutReplacement:
     # one case per branch: the permutation slice (n <= 4096) and rng.choice
@@ -408,6 +421,12 @@ class TestSampleWithoutReplacement:
     def test_more_than_n_raises(self, n):
         with pytest.raises(DomainError):
             mcmc.sample_without_replacement(np.random.default_rng(0), n, n + 1)
+
+    @pytest.mark.parametrize("n", [12, 5000], ids=["permutation", "choice"])
+    def test_negative_k_raises(self, n):
+        # permutation(n)[:-3] would return n - 3 indices; rng.choice raises numpy's ValueError
+        with pytest.raises(DomainError):
+            mcmc.sample_without_replacement(np.random.default_rng(0), n, -3)
 
 
 # --- whole chains -----------------------------------------------------------
@@ -453,6 +472,23 @@ class TestRunChain:
         b = run_chain(cfg, PSPEC, exact_perceptron_risk)
         assert (a.risk_report == b.risk_report).all()
         assert (a.accepted == b.accepted).all()
+
+    @pytest.mark.parametrize("mode", ["boltzmann", "annealed"])
+    def test_report_risk_evaluated_once_per_moved_record(self, mode):
+        # the report risk is a function of w, so a block that accepted nothing reuses it
+        calls = []
+
+        def counting(w):
+            calls.append(1)
+            return exact_perceptron_risk(w)
+
+        cfg = ChainConfig(beta=40.0, proposal_scale=1.0, burn_in=50, samples=200, thin=2, seed=62)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk, report_risk_fn=counting, mode=mode)
+        moved = int(res.accepted[1:].sum())
+        assert 0 < moved < res.accepted.size - 1  # some records reuse, some re-evaluate
+        assert len(calls) == 1 + moved
+        same = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
+        assert (res.risk_report == same.risk_report).all()
 
     @pytest.mark.parametrize("mode, step_name", [("boltzmann", "metropolis_step"),
                                                   ("annealed", "annealed_step")])

@@ -214,6 +214,52 @@ class TestFusedMlpKernel:
         assert empirical_risk(spec, w, data) == empirical_risk(spec, w, flipped) > 0.0
 
 
+def frozen(data):
+    data.labels.flags.writeable = False
+    return data
+
+
+class TestBinaryLabels:
+    def test_only_read_only_zero_one_labels_get_a_bool_copy(self):
+        X = np.zeros((4, 2))
+        data = LabelledDataset(X, np.array([0, 1, 1, 0]))
+        assert data.binary_labels is None  # writeable: a copy could go stale
+        frozen(data)
+        assert data.binary_labels.dtype == bool
+        assert data.binary_labels.tolist() == [False, True, True, False]
+        assert data.binary_labels is data.binary_labels
+        data.labels = np.array([1, 1, 1, 0])
+        assert data.binary_labels is None
+        frozen(data)
+        assert data.binary_labels.tolist() == [True, True, True, False]
+        assert frozen(LabelledDataset(X, np.array([0, 1, 2, 0]))).binary_labels is None
+
+    def test_label_two_still_counts_as_an_error(self):
+        spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(5, 2))
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((400, 3))
+        w = random_weights(spec, 1.0, rng)
+        labels = predict_batch(spec, w, X)
+        labels[::4] = 2  # a class the machine never predicts
+        data = frozen(LabelledDataset(X, labels))
+        assert empirical_risk(spec, w, data) == 0.25
+        assert empirical_risk(spec, w, data, subset=np.arange(0, 400, 2)) == 0.5
+
+    @pytest.mark.parametrize("layer_sizes", [(6, 2), (6, 3)])
+    def test_read_only_labels_give_the_same_risks(self, layer_sizes):
+        spec = PredictorSpec(kind="mlp", input_dim=4, layer_sizes=layer_sizes)
+        rng = np.random.default_rng(22)
+        data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 300, rng)
+        subset = rng.permutation(300)[:77]
+        weights = [random_weights(spec, 1.0, rng) for _ in range(20)]
+        before = [(empirical_risk(spec, w, data), empirical_risk(spec, w, data, subset))
+                  for w in weights]
+        frozen(data)
+        assert data.binary_labels is not None
+        assert [(empirical_risk(spec, w, data), empirical_risk(spec, w, data, subset))
+                for w in weights] == before
+
+
 class TestRandomWeights:
     def test_sphere_norm(self):
         w = random_weights(sphere_spec(50), 2.0, seed=4)
