@@ -67,6 +67,13 @@ def _int_list(text):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
+def _seed(text):
+    """A seed: a whole number >= 0, as numpy requires."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
+    return value
+
+
 _LIST_ITEM = {_float_list: float, _int_list: int}
 
 
@@ -141,7 +148,7 @@ def _merge(args, opts) -> dict:
         if val is None and o.dest in fromfile:
             try:
                 val = _from_config(o, fromfile[o.dest])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"{args.config}: key {o.dest!r}: {exc}") from exc
         if val is None:
             val = o.default
@@ -262,8 +269,6 @@ def _build_machine(params, manifest):
     fraction = 0.5 if params["split"] is None else params["split"]
     manifest.record["parameters"]["split"] = fraction
     accept_data, report_data = split(data, fraction, stream(params["seed"], 9000))
-    for part in (accept_data, report_data):
-        part.labels.flags.writeable = False  # the chains only read them; see binary_labels
 
     def risk_fn(w):
         return empirical_risk(spec, w, accept_data)
@@ -408,7 +413,7 @@ _MACHINE_OPTS = [
     Opt("--samples", int, default=1000),
     Opt("--thin", int, default=2),
     Opt("--chains", int, default=1),
-    Opt("--seed", int, required=True),
+    Opt("--seed", _seed, required=True),
     Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
     _OUT,
 ]
@@ -437,11 +442,11 @@ _COMMANDS = {
     ),
     ("simulate", "hebbian"): (
         _GAUSSIAN_OPTS + [Opt("--m-grid", _int_list, required=True), Opt("--runs", int, default=100),
-                          Opt("--seed", int, required=True), _OUT],
+                          Opt("--seed", _seed, required=True), _OUT],
         _cmd_simulate_hebbian,
     ),
     ("data", "gen-gaussian"): (
-        _GAUSSIAN_OPTS + [Opt("--n", int, required=True), Opt("--seed", int, required=True), _OUT],
+        _GAUSSIAN_OPTS + [Opt("--n", int, required=True), Opt("--seed", _seed, required=True), _OUT],
         _cmd_data_gen_gaussian,
     ),
     ("data", "load-idx"): (
@@ -452,7 +457,7 @@ _COMMANDS = {
     ("data", "relabel"): (
         [Opt("--data", str, required=True, file="in"), Opt("--kind", str, default="mlp"),
          Opt("--layer-sizes", _int_list), Opt("--teacher-weights", str, file="in"),
-         Opt("--teacher-seed", int), Opt("--save-teacher", str, file="out"), _OUT],
+         Opt("--teacher-seed", _seed), Opt("--save-teacher", str, file="out"), _OUT],
         _cmd_data_relabel,
     ),
     ("sample", "boltzmann-sweep"): (

@@ -8,6 +8,7 @@ import shutil
 import struct
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,16 +32,16 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelledDataset:
-    """Feature matrix with integer class labels >= 0."""
+    """Feature matrix with integer class labels >= 0: a read-only value over the arrays it is given."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise DomainError("features must be a non-empty n x p matrix")
         if self.labels.shape != (self.features.shape[0],):
@@ -49,45 +50,33 @@ class LabelledDataset:
             raise DomainError("feature rows must be finite")
         if self.labels.min() < 0:
             raise DomainError("labels must be >= 0")
+        self.features.flags.writeable = self.labels.flags.writeable = False  # so no cache goes stale
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
 
-    @property
+    @cached_property
     def features_t(self) -> np.ndarray:
         """Contiguous feature-major copy of ``features`` over a last row of ones.
 
         The (p + 1) × n block is what the mlp kernel multiplies by each
         layer's [W | b], so the ones row adds the first layer's bias inside
-        its GEMM.  Built on first use and rebuilt whenever ``features`` has
-        been replaced, so it cannot go stale.  Forked chain workers inherit
-        or build their own copy.
+        its GEMM.  Built on first use.  Forked chain workers inherit or build
+        their own copy.
         """
-        cached = getattr(self, "_features_t", None)
-        if cached is None or cached[0] is not self.features:
-            cached = (self.features, augmented_t(self.features))
-            self._features_t = cached
-        return cached[1]
+        return augmented_t(self.features)
 
-    @property
+    @cached_property
     def binary_labels(self) -> np.ndarray | None:
-        """A bool copy of read-only ``labels`` whose every entry is 0 or 1, else None.
+        """A bool copy of ``labels`` if every entry is 0 or 1, else None.
 
         The two-class mlp kernel decides in bool, and comparing bool with
-        bool skips casting every decision to int64.  A copy cannot follow
-        writes into the labels, so writeable labels get none; nor do labels
-        with a 2 or more, so such a label still counts as an error.  Cached
-        and rebuilt like ``features_t``.
+        bool skips casting every decision to int64.  Labels with a 2 or more
+        get none, so such a label still counts as an error.
         """
-        if self.labels.flags.writeable:
-            return None
-        cached = getattr(self, "_binary_labels", None)
-        if cached is None or cached[0] is not self.labels:
-            as_bool = self.labels.astype(bool)
-            cached = (self.labels, as_bool if (as_bool == self.labels).all() else None)
-            self._binary_labels = cached
-        return cached[1]
+        as_bool = self.labels.astype(bool)
+        return as_bool if (as_bool == self.labels).all() else None
 
     @property
     def feature_dim(self) -> int:
@@ -173,8 +162,8 @@ def teacher_relabel(data: LabelledDataset, spec: PredictorSpec, w_star: WeightVe
     """Replace the labels with the teacher's own predictions.
 
     The resulting task is realisable by construction: the teacher weights
-    achieve empirical risk exactly zero on it.  It shares ``data``'s feature
-    matrix: a copy would add a full matrix to the peak memory of
+    achieve empirical risk exactly zero on it.  It shares ``data``'s read-only
+    feature matrix: a copy would add a full matrix to the peak memory of
     ``data relabel``, which drops the input right away.
     """
     labels = predict_batch(spec, w_star, data.features)

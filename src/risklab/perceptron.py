@@ -111,8 +111,8 @@ def boltzmann_risk_exact(beta: float, spec: GaussianClassSpec) -> float:
     the exponent first, which keeps the integrand in range up to β ≈ 1e4.
     A combined relative error above 1e-8 raises QuadratureError.
     """
-    if beta < 0:
-        raise DomainError(f"inverse temperature must be >= 0, got {beta}")
+    if not 0 <= beta < math.inf:
+        raise DomainError(f"inverse temperature must be finite and >= 0, got {beta}")
     from scipy import integrate, optimize
 
     peak = optimize.minimize_scalar(

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +87,40 @@ class TestDispatchContracts:
         ["simulate", "hebbian", "--p", "5", "--delta", "nan", "--m-grid", "1,10", "--runs", "3",
          "--seed", "1"],
         ["analytic", "boltzmann-risk", "--p", "5", "--delta", "2", "--beta-grid", "0,inf"],
-    ], ids=["boltzmann-nan-delta", "hebbian-nan-delta", "simulate-nan-delta", "boltzmann-inf-beta"])
+        ["analytic", "boltzmann-risk", "--p", "5", "--delta", "2", "--beta-grid", "nan"],
+    ], ids=["boltzmann-nan-delta", "hebbian-nan-delta", "simulate-nan-delta", "boltzmann-inf-beta",
+            "boltzmann-nan-beta"])
     def test_nan_result_exits_two(self, tmp_path, command):
-        # a NaN separation or an infinite beta gives nan risks: exit 2, nothing written
+        # a NaN separation or a non-finite beta is refused before any solver runs:
+        # exit 2, no warning, nothing written
         out = tmp_path / "o.csv"
-        assert dispatch(command + ["--out", str(out)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(command + ["--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["simulate", "hebbian", "--p", "5", "--delta", "1", "--m-grid", "1"], "--seed"),
+        (["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "5"], "--seed"),
+        (["sample", "annealed", "--machine", "perceptron-exact", "--p", "3", "--delta", "1",
+          "--m-grid", "0"], "--seed"),
+        (["data", "relabel", "--data", "d.csv"], "--teacher-seed"),
+    ], ids=["simulate", "gen-gaussian", "sample", "relabel"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys, command, flag, form):
+        out = tmp_path / "o.csv"
+        if form == "flag":
+            given, named = [flag, "-1"], f"argument {flag}"
+        else:
+            key = flag.lstrip("-").replace("-", "_")
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({key: -1}))
+            given, named = ["--config", str(cfg)], f"key '{key}'"
+        assert dispatch(command + given + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and ">= 0, got -1" in err
+        assert not any(tmp_path.glob("o.csv*"))
 
     @pytest.mark.parametrize("command", [
         ["data", "gen-gaussian", "--p", "3", "--delta", "2", "--n", "0", "--seed", "1"],

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import multiprocessing
 import os
@@ -177,13 +178,16 @@ class TestFeatureBlock:
         assert (block[:4] == data.features.T).all()
         assert (block[4] == 1.0).all()
 
-    def test_rebuilt_after_features_are_replaced(self):
-        data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 7, 3)
+    def test_cached_over_arrays_taken_read_only(self):
+        X, y = np.random.default_rng(3).standard_normal((7, 4)), np.arange(7) % 2
+        data = LabelledDataset(X, y)
+        assert data.features is X and data.labels is y  # taken, not copied
+        assert not X.flags.writeable and not y.flags.writeable
         first = data.features_t
         assert data.features_t is first
-        data.features = -data.features
-        assert (data.features_t[:4] == data.features.T).all()
-        assert (data.features_t[4] == 1.0).all()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.features = -X
+        assert (data.features_t[:4] == X.T).all()
 
 
 class TestSplit:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -178,10 +179,8 @@ class TestFusedMlpKernel:
         last[fan_in * classes :] = 0.3
         X = np.random.default_rng(12).standard_normal((50, 3))
         assert (predict_batch(spec, w, X) == 0).all()
-        data = LabelledDataset(X, np.zeros(50, dtype=int))
-        assert empirical_risk(spec, w, data) == 0.0
-        data.labels[:] = 1
-        assert empirical_risk(spec, w, data) == 1.0
+        assert empirical_risk(spec, w, LabelledDataset(X, np.zeros(50, dtype=int))) == 0.0
+        assert empirical_risk(spec, w, LabelledDataset(X, np.ones(50, dtype=int))) == 1.0
 
     @given(seed=st.integers(0, 2**32 - 1), classes=st.sampled_from([2, 3]),
            hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3), p=st.integers(1, 6),
@@ -209,30 +208,37 @@ class TestFusedMlpKernel:
         X = np.random.default_rng(14).standard_normal((300, 4))
         data = LabelledDataset(X, predict_batch(spec, w, X))
         assert empirical_risk(spec, w, data) == 0.0  # builds the feature-major copy
-        data.features = -X
-        flipped = LabelledDataset(-X, data.labels)
-        assert empirical_risk(spec, w, data) == empirical_risk(spec, w, flipped) > 0.0
+        flipped = LabelledDataset(-X, data.labels)  # shares the labels
+        assert empirical_risk(spec, w, flipped) > 0.0
+        assert empirical_risk(spec, w, data) == 0.0
 
-
-def frozen(data):
-    data.labels.flags.writeable = False
-    return data
+    def test_data_cannot_change_under_its_cached_blocks(self):
+        spec = PredictorSpec(kind="mlp", input_dim=20, layer_sizes=(16, 2))
+        rng = np.random.default_rng(15)
+        w = random_weights(spec, 1.0, rng)
+        X = rng.standard_normal((400, 20))
+        data = LabelledDataset(X, predict_batch(spec, w, X))
+        assert empirical_risk(spec, w, data) == 0.0  # caches features_t and binary_labels
+        with pytest.raises(ValueError):
+            data.features[:] = -data.features
+        with pytest.raises(ValueError):
+            data.labels[:] = 1 - data.labels
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.features = -X
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.labels = 1 - data.labels
+        assert empirical_risk(spec, w, data) == 0.0
+        assert empirical_risk(spec, w, LabelledDataset(data.features, data.labels)) == 0.0
 
 
 class TestBinaryLabels:
-    def test_only_read_only_zero_one_labels_get_a_bool_copy(self):
+    def test_only_zero_one_labels_get_a_bool_copy(self):
         X = np.zeros((4, 2))
         data = LabelledDataset(X, np.array([0, 1, 1, 0]))
-        assert data.binary_labels is None  # writeable: a copy could go stale
-        frozen(data)
         assert data.binary_labels.dtype == bool
         assert data.binary_labels.tolist() == [False, True, True, False]
         assert data.binary_labels is data.binary_labels
-        data.labels = np.array([1, 1, 1, 0])
-        assert data.binary_labels is None
-        frozen(data)
-        assert data.binary_labels.tolist() == [True, True, True, False]
-        assert frozen(LabelledDataset(X, np.array([0, 1, 2, 0]))).binary_labels is None
+        assert LabelledDataset(X, np.array([0, 1, 2, 0])).binary_labels is None
 
     def test_label_two_still_counts_as_an_error(self):
         spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(5, 2))
@@ -241,7 +247,7 @@ class TestBinaryLabels:
         w = random_weights(spec, 1.0, rng)
         labels = predict_batch(spec, w, X)
         labels[::4] = 2  # a class the machine never predicts
-        data = frozen(LabelledDataset(X, labels))
+        data = LabelledDataset(X, labels)
         assert empirical_risk(spec, w, data) == 0.25
         assert empirical_risk(spec, w, data, subset=np.arange(0, 400, 2)) == 0.5
 
@@ -252,12 +258,13 @@ class TestBinaryLabels:
         data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 300, rng)
         subset = rng.permutation(300)[:77]
         weights = [random_weights(spec, 1.0, rng) for _ in range(20)]
-        before = [(empirical_risk(spec, w, data), empirical_risk(spec, w, data, subset))
-                  for w in weights]
-        frozen(data)
         assert data.binary_labels is not None
+
+        def counted(w, rows):  # int64 decisions against int64 labels
+            return np.count_nonzero(predict_batch(spec, w, data.features[rows]) != data.labels[rows]) / len(rows)
+
         assert [(empirical_risk(spec, w, data), empirical_risk(spec, w, data, subset))
-                for w in weights] == before
+                for w in weights] == [(counted(w, np.arange(300)), counted(w, subset)) for w in weights]
 
 
 class TestRandomWeights:
