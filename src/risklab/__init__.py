@@ -8,4 +8,5 @@ from .gibbs import *  # noqa: F401,F403
 from .predictors import *  # noqa: F401,F403
 from .datasets import *  # noqa: F401,F403
 from .mcmc import *  # noqa: F401,F403
+from .workers import *  # noqa: F401,F403
 from .reconstruction import *  # noqa: F401,F403

@@ -249,15 +249,15 @@ def _predictor_spec(kind, input_dim, layer_sizes) -> PredictorSpec:
 
 
 def _build_machine(params, manifest):
-    """(spec, acceptance risk, report risk) of ``--machine``."""
+    """(spec, acceptance risk, report risk or None) of ``--machine``."""
     machine = params["machine"]
     if machine == "perceptron-exact":
         _refuse(params, machine, ("data", "layer_sizes", "split"))
         if params["p"] is None or params["delta"] is None:
             raise ConfigError("perceptron-exact needs --p and --delta")
         spec = _gaussian(params)
-        risk_fn = partial(perceptron_risk, spec=spec)
-        return PredictorSpec(kind="sphere_linear", input_dim=spec.p), risk_fn, risk_fn
+        # no held-out data: the report risk is the acceptance risk the chain already holds
+        return PredictorSpec(kind="sphere_linear", input_dim=spec.p), partial(perceptron_risk, spec=spec), None
     _refuse(params, machine, ("p", "delta"))
     if params["data"] is None:
         raise ConfigError(f"{machine} needs --data")

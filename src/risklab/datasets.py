@@ -6,16 +6,15 @@ import itertools
 import os
 import shutil
 import struct
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, IdxDimensionError, IdxMagicError, IdxTruncatedError
-from .mcmc import fork_workers, forked_map
 from .perceptron import GaussianClassSpec
 from .predictors import PredictorSpec, WeightVector, augmented_t, predict_batch
+from .workers import fork_workers, forked_map
 
 __all__ = [
     "LabelledDataset",
@@ -51,6 +50,10 @@ class LabelledDataset:
         if self.labels.min() < 0:
             raise DomainError("labels must be >= 0")
         self.features.flags.writeable = self.labels.flags.writeable = False  # so no cache goes stale
+
+    def __reduce__(self):
+        # rebuild through __init__: a copy gets read-only arrays and no cached block
+        return LabelledDataset, (self.features, self.labels)
 
     @property
     def n(self) -> int:
@@ -194,32 +197,22 @@ def _temp_name(path) -> str:
     return f"{path}.tmp.{os.getpid()}"
 
 
-@contextmanager
-def _atomic_file(path):
-    """A text file open on a temp name, renamed over ``path`` when the block succeeds.
+def atomic_write(path, chunks):
+    """Write strings, or one bytes object, to a temp file and rename it over ``path``.
 
     On failure ``path`` is untouched and the temp file is removed.
     """
     tmp = _temp_name(path)
     try:
         with open(tmp, "w", newline="") as fh:
-            yield fh
+            if isinstance(chunks, bytes):
+                fh.buffer.write(chunks)
+            else:
+                fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def atomic_write(path, chunks):
-    """Write strings, or one bytes object, to a temp file and rename it over ``path``.
-
-    On failure ``path`` is untouched and the temp file is removed.
-    """
-    with _atomic_file(path) as fh:
-        if isinstance(chunks, bytes):
-            fh.buffer.write(chunks)
-        else:
-            fh.writelines(chunks)
 
 
 def write_csv(path, header, rows):
@@ -280,42 +273,37 @@ def dataset_to_csv(data: LabelledDataset, path):
     The bytes are those :func:`write_csv` writes for the rows ``[label,
     *features]``, but each row is one ``%`` template filled at C speed.  The
     rows are cut into ``fork_workers(n)`` contiguous ranges (the count is
-    capped by ``RISKLAB_THREADS``).  Forked workers write every range but
-    the first to a part file each while this process writes the header and
-    the first range to the temp file; it then appends the parts in order and
+    capped by ``RISKLAB_THREADS``), each a :func:`forked_map` item: range 0
+    goes into the temp file after the header, every other range into a part
+    file of its own.  This process then appends the parts in order and
     renames the temp file over ``path``.  A failure in any process raises
     here, leaves ``path`` untouched and removes the temp and part files.
     """
     n, p = data.features.shape
     row = "%d" + f",{FLOAT_CELL}" * p + "\n"
     ranges = fork_workers(n)
-    parts = [f"{_temp_name(path)}.part{k}" for k in range(1, ranges)]
+    tmp = _temp_name(path)
+    files = [tmp] + [f"{tmp}.part{k}" for k in range(1, ranges)]
 
-    def rows(k):
+    def write_range(k):
         start, stop = n * k // ranges, n * (k + 1) // ranges
-        for y, x in zip(data.labels[start:stop].tolist(), data.features[start:stop]):
-            yield row % (y, *x.tolist())
-
-    def write_part(k):
-        with open(parts[k - 1], "w", newline="") as fh:
-            fh.writelines(rows(k))
+        with open(files[k], "w", newline="") as fh:
+            if k == 0:
+                fh.write(",".join(["label"] + [f"f{j}" for j in range(p)]) + "\n")
+            fh.writelines(row % (y, *x.tolist())
+                          for y, x in zip(data.labels[start:stop].tolist(), data.features[start:stop]))
 
     try:
-        # the workers fork before the temp file opens, so they inherit no unflushed buffer
-        with (forked_map(write_part, range(1, ranges), ranges - 1) if parts else nullcontext()) as results, \
-                _atomic_file(path) as fh:
-            fh.write(",".join(["label"] + [f"f{j}" for j in range(p)]) + "\n")
-            fh.writelines(rows(0))
-            if parts:
-                results()
-                fh.flush()
-                for part in parts:
-                    with open(part, "rb") as src:
-                        shutil.copyfileobj(src, fh.buffer, 1 << 20)
+        forked_map(write_range, range(ranges), ranges)
+        with open(tmp, "ab") as fh:
+            for part in files[1:]:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh, 1 << 20)
+        os.replace(tmp, path)
     finally:
-        for part in parts:
-            if os.path.exists(part):
-                os.remove(part)
+        for name in files:
+            if os.path.exists(name):
+                os.remove(name)
 
 
 def dataset_from_csv(path) -> LabelledDataset:

@@ -21,30 +21,25 @@ changes the draws of existing ones.  A rule draws a uniform only for an
 uphill move it cannot decide without one; moving that draw would shift
 every later step.
 
-A sweep with more than one chain runs its lanes in forked worker processes,
-up to ``worker_count()`` of them.  The risk callables reach the workers
-through the fork, so they need not be picklable; only ``ChainResult`` lists
-come back, down one pipe per worker.  ``fork_workers`` and ``forked_map``
-own that rule and those processes; :func:`risklab.datasets.dataset_to_csv`
-uses them too.
+A sweep runs its lanes through :func:`risklab.workers.forked_map`, in up to
+``worker_count()`` processes, the caller among them.  The risk callables
+reach the forked workers through the fork, so they need not be picklable;
+only ``ChainResult`` lists come back.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import signal
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from multiprocessing.connection import wait
 
 import numpy as np
 
-from .errors import ChainError, ConfigError, DomainError, RisklabError
+from .errors import ChainError, DomainError
 from .predictors import UNIT_SPHERE, PredictorSpec, WeightVector, random_weights
 from .rng import stream
+# worker_count is not used here: perfbench/worker.py reads it as risklab.mcmc.worker_count
+from .workers import fork_workers, forked_map, worker_count  # noqa: F401
 
 __all__ = [
     "ChainConfig",
@@ -60,121 +55,7 @@ __all__ = [
     "run_chain",
     "boltzmann_sweep",
     "sample_without_replacement",
-    "worker_count",
-    "fork_workers",
-    "forked_map",
 ]
-
-
-def worker_count() -> int:
-    """Worker-process cap for sweep chains and dataset-CSV writes.
-
-    ``RISKLAB_THREADS`` when set (0 or a negative value means one worker),
-    else the machine's CPU count.  A value that is not an integer raises
-    ConfigError.
-    """
-    env = os.environ.get("RISKLAB_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"RISKLAB_THREADS must be an integer, got {env!r}") from None
-
-
-def fork_workers(tasks: int) -> int:
-    """How many processes to run ``tasks`` independent tasks in: min(worker_count(), tasks).
-
-    It is 1, meaning the caller runs them itself, unless there are at least
-    two workers, the platform can fork and the caller is not a daemonic
-    worker, which may not have children.
-    """
-    workers = min(worker_count(), tasks)
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return 1
-    return workers
-
-
-def _serve(task_fn, chunk, conn):
-    """Worker body: send ``(True, [(index, result), ...])`` or ``(False, exception)``; leave Ctrl-C to the caller."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        reply = True, [(index, task_fn(item)) for index, item in chunk]
-    except Exception as exc:
-        reply = False, exc
-    conn.send(reply)
-
-
-def _died(proc):
-    proc.join()
-    return RisklabError(f"worker process {proc.pid} exited with code {proc.exitcode} "
-                        "before returning its results")
-
-
-def _gather(procs, conns, size):
-    """Results of every worker in item order, received in the calling thread.
-
-    Waits on the result pipes and the worker sentinels together.  A worker
-    that exits without a reply died without raising (a signal, the OOM
-    killer, ``os._exit``); that raises RisklabError instead of waiting for
-    results that will never come.
-    """
-    results = [None] * size
-    live = dict(zip(conns, procs))
-    while live:
-        ready = wait([*live, *(proc.sentinel for proc in live.values())])
-        for conn, proc in list(live.items()):
-            if conn.poll():  # a reply, or the EOF of a worker that died
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    ok, value = False, _died(proc)
-            elif proc.sentinel in ready:
-                ok, value = False, _died(proc)
-            else:
-                continue
-            if not ok:
-                raise value
-            for index, result in value:
-                results[index] = result
-            del live[conn]
-    return results
-
-
-@contextmanager
-def forked_map(task_fn, items, workers: int):
-    """Start ``task_fn`` on each of ``items`` in ``workers`` forked processes.
-
-    Yields a function that returns the results in item order, re-raises a
-    worker's exception, and raises RisklabError if a worker dies before
-    returning its results.  Worker k takes items k, k + workers, ... and
-    sends their results, or its first exception, down its own pipe.
-    ``task_fn`` and the items reach the workers through the fork, so they
-    may be closures; only the results are pickled.  Workers ignore Ctrl-C;
-    leaving the block terminates and joins them, on success, error or
-    Ctrl-C.
-    """
-    ctx = multiprocessing.get_context("fork")
-    indexed = list(enumerate(items))
-    chunks = [indexed[k::workers] for k in range(workers)]
-    procs, conns = [], []
-    try:
-        for chunk in chunks:
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_serve, args=(task_fn, chunk, send), daemon=True)
-            proc.start()
-            procs.append(proc)
-            send.close()  # the worker holds the only write end, so its death reads as EOF
-        yield lambda: _gather(procs, conns, len(indexed))
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
 
 
 @dataclass(frozen=True)
@@ -276,7 +157,7 @@ class ChainResult:
 class SweepResult:
     curve: BoltzmannCurve
     runs: list  # runs[chain][beta_index] -> ChainResult
-    workers: int  # processes the chains ran on; 1 is the calling thread
+    workers: int  # processes the chains ran on, the caller included
 
 
 def propose(w: WeightVector, scale: float, rng) -> WeightVector:
@@ -592,10 +473,10 @@ def boltzmann_sweep(
     Warm starting reuses each beta's final state as the next beta's initial
     state (a cheap annealing schedule); cold starts exist for equilibration
     cross-checks.  Chains are independent lanes with their own seed paths,
-    so where they run never changes any result.  With more than one chain
-    they run in ``fork_workers(n_chains)`` forked worker processes; when
-    that is 1 (one worker, a platform without fork, or a caller that is
-    itself a daemonic worker) they run in the calling thread.  Every grid
+    so where they run never changes any result.  They run in
+    ``fork_workers(n_chains)`` processes, the caller among them, so one
+    worker (or a platform without fork, or a caller that is itself a
+    daemonic worker) runs every lane in the calling thread.  Every grid
     point's settings are checked before any chain runs.
     """
     beta_grid = [float(b) for b in beta_grid]
@@ -618,11 +499,7 @@ def boltzmann_sweep(
         return results
 
     workers = fork_workers(n_chains)
-    if workers == 1:
-        lanes = [run_lane(lane) for lane in range(n_chains)]
-    else:
-        with forked_map(run_lane, range(n_chains), workers) as results:
-            lanes = results()
+    lanes = forked_map(run_lane, range(n_chains), workers)
 
     points = []
     for bi, beta in enumerate(beta_grid):

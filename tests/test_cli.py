@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ import risklab.cli as cli
 from risklab.cli import dispatch, load_config
 from risklab.datasets import dataset_from_csv
 from risklab.errors import ConfigError
-from risklab.mcmc import worker_count
+from risklab.workers import worker_count
 
 
 def read_rows(path):
@@ -589,6 +590,24 @@ class TestSamplingCommands:
         assert not out.exists()
         assert multiprocessing.active_children() == []
 
+    def test_perceptron_exact_risk_runs_once_per_step(self, tmp_path, monkeypatch):
+        # no held-out data: records reuse the acceptance risk instead of evaluating it again
+        calls, real = [], cli.perceptron_risk
+
+        def risk(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "perceptron_risk", risk)
+        out = tmp_path / "x.csv"
+        assert dispatch(["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
+                         "--p", "5", "--delta", "1", "--beta-grid", "0,2,5", "--chains", "1",
+                         "--burn-in", "20", "--samples", "30", "--thin", "2", "--calibrate",
+                         "--seed", "1", "--out", str(out)]) == 0
+        steps = json.loads((tmp_path / "x.csv.manifest.json").read_text())["step_counts"]
+        assert steps["calibration_steps"] > 0
+        assert len(calls) == steps["total_steps"] + steps["calibration_steps"] + 3  # + one start per β
+
     def test_non_finite_teacher_file_exits_two(self, tmp_path):
         data_csv, teacher = tmp_path / "d.csv", tmp_path / "t.bin"
         assert dispatch(["data", "gen-gaussian", "--p", "5", "--delta", "2", "--n", "40",
@@ -736,6 +755,35 @@ class TestSolverImports:
         assert "scipy.optimize" in loaded and "scipy.integrate" in loaded
         header, rows = read_rows(out)
         assert header == ["alpha", "q", "r", "r_times_alpha"] and len(rows) == 2
+
+
+class TestPoolModule:
+    def test_datasets_does_not_import_mcmc(self):
+        # the package's __init__ imports every module, so a bare package stands in for it
+        script = "\n".join([
+            "import importlib.util, sys, types",
+            "package = types.ModuleType('risklab')",
+            "package.__path__ = importlib.util.find_spec('risklab').submodule_search_locations",
+            "sys.modules['risklab'] = package",
+            "import risklab.datasets",
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('risklab.'))))",
+        ])
+        loaded = run_fresh(script).split()
+        assert "risklab.workers" in loaded and "risklab.mcmc" not in loaded
+
+    def test_only_workers_imports_multiprocessing_or_signal(self):
+        importers = set()
+        for path in Path(risklab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] in ("multiprocessing", "signal") for name in names):
+                    importers.add(path.name)
+        assert importers == {"workers.py"}
 
 
 class TestModuleEntryPoint:

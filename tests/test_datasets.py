@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import multiprocessing
 import os
+import pickle
 import struct
 import warnings
 
@@ -188,6 +189,18 @@ class TestFeatureBlock:
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.features = -X
         assert (data.features_t[:4] == X.T).all()
+
+    def test_pickled_copy_is_read_only_without_the_cached_block(self):
+        data = gen_gaussian_pair(GaussianClassSpec(4, 1.0), 9, 5)
+        data.features_t  # cache the block before pickling
+        copy = pickle.loads(pickle.dumps(data))
+        assert not copy.features.flags.writeable and not copy.labels.flags.writeable
+        assert "features_t" not in vars(copy)
+        with pytest.raises(ValueError):
+            copy.features[:] = -copy.features
+        spec = PredictorSpec(kind="mlp", input_dim=4, layer_sizes=(3, 2))
+        w = random_weights(spec, 1.0, np.random.default_rng(6))
+        assert empirical_risk(spec, w, copy) == empirical_risk(spec, w, data)
 
 
 class TestSplit:

@@ -270,7 +270,8 @@ def test_every_exported_name_has_a_caller():
 
 def test_package_exports_every_module_all():
     # risklab/__init__.py re-exports each library module's __all__ and names nothing itself
-    modules = ("perceptron", "replica", "gibbs", "predictors", "datasets", "mcmc", "reconstruction")
+    modules = ("perceptron", "replica", "gibbs", "predictors", "datasets", "mcmc", "workers",
+               "reconstruction")
     exported = set()
     for name in modules:
         exported.update(importlib.import_module(f"risklab.{name}").__all__)
