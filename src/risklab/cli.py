@@ -1,10 +1,15 @@
-"""Command-line front end: argument handling, config files, manifests, CSV emission.
+"""Command-line front end: argument parsing, manifests, CSV emission.
+
+argparse reads every parameter, from flags or from ``@file`` arguments:
+``risklab analytic hebbian @run.args --m-grid 7 --out h.csv`` reads one
+argument per line from ``run.args`` in its place, and a later argument wins.
 
 Every command that produces files also writes ``<out>.manifest.json``
 recording the full parameter set, master seed, fingerprints of the files it
 read and wrote, and timing.  Re-running a command with the parameters from
 its manifest reproduces every CSV byte for byte (manifests themselves carry
-wall-clock times and are not byte-stable).
+wall-clock times and are not byte-stable); its ``parameters`` are the
+parsed flags, by destination name.
 
 CSV and JSON files, dataset CSVs included, are written atomically (temp
 file + rename); :mod:`risklab.datasets` owns the CSV format.
@@ -13,6 +18,7 @@ file + rename); :mod:`risklab.datasets` owns the CSV format.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -47,7 +53,7 @@ from .reconstruction import EntropyCurve, predicted_annealed_risk, quadratic_fit
 from .replica import solve_saddle
 from .rng import stream
 
-__all__ = ["dispatch", "load_config", "main"]
+__all__ = ["dispatch", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,15 +62,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# option table and config merging
+# option table
+
+
+def _list(item, text):
+    """A comma-separated grid of one or more values."""
+    if not (values := [item(v) for v in text.split(",") if v != ""]):
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+    return _list(float, text)
 
 
 def _int_list(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return _list(int, text)
 
 
 def _seed(text):
@@ -72,9 +85,6 @@ def _seed(text):
     if (value := int(text)) < 0:
         raise argparse.ArgumentTypeError(f"a seed must be >= 0, got {value}")
     return value
-
-
-_LIST_ITEM = {_float_list: float, _int_list: int}
 
 
 @dataclass(frozen=True)
@@ -93,70 +103,12 @@ class Opt:
 
 
 def _register(parser, opts):
-    parser.add_argument("--config", default=None, help="JSON file mirroring the flags")
     for o in opts:
         if o.is_flag:
-            parser.add_argument(o.flag, dest=o.dest, action="store_const", const=True,
-                                default=None, help=o.help)
+            parser.add_argument(o.flag, dest=o.dest, action="store_true", help=o.help)
         else:
-            parser.add_argument(o.flag, dest=o.dest, type=o.type, default=None, help=o.help)
-
-
-def load_config(path, known_keys) -> dict:
-    """Load a JSON parameter record; unknown keys are rejected by name."""
-    try:
-        with open(path, "r") as fh:
-            record = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
-    if not isinstance(record, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(record) - set(known_keys))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    return record
-
-
-def _text(value) -> str:
-    """A JSON scalar as it would be typed on the command line."""
-    if isinstance(value, (bool, list, dict)):
-        raise ValueError(f"expected a number or a string, got {json.dumps(value)}")
-    return str(value)
-
-
-def _from_config(opt, value):
-    """Config value converted with the option's type, as if given as its flag."""
-    if value is None:
-        return None
-    if opt.is_flag:
-        if not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {json.dumps(value)}")
-        return value
-    if isinstance(value, list) and opt.type in _LIST_ITEM:
-        return [_LIST_ITEM[opt.type](_text(v)) for v in value]
-    return opt.type(_text(value))
-
-
-def _merge(args, opts) -> dict:
-    known = [o.dest for o in opts]
-    fromfile = {}
-    if args.config is not None:
-        fromfile = load_config(args.config, known_keys=known)
-    merged = {}
-    for o in opts:
-        val = getattr(args, o.dest)
-        if val is None and o.dest in fromfile:
-            try:
-                val = _from_config(o, fromfile[o.dest])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"{args.config}: key {o.dest!r}: {exc}") from exc
-        if val is None:
-            val = o.default
-        merged[o.dest] = val
-    missing = [o.flag for o in opts if o.required and merged[o.dest] is None]
-    if missing:
-        raise ConfigError(f"missing required options: {', '.join(missing)}")
-    return merged
+            parser.add_argument(o.flag, dest=o.dest, type=o.type, default=o.default,
+                                required=o.required, help=o.help)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +243,7 @@ def _run_sweep(params, manifest, mode, grid_column):
         risk_fn,
         report_risk_fn=report_fn,
         n_chains=params["chains"],
-        calibrate=bool(params["calibrate"]),
+        calibrate=params["calibrate"],
         mode=mode,
     )
     out = params["out"]
@@ -302,6 +254,8 @@ def _run_sweep(params, manifest, mode, grid_column):
     )
     chains_dir = f"{out}.chains"
     os.makedirs(chains_dir, exist_ok=True)
+    for stale in glob.glob(os.path.join(glob.escape(chains_dir), "chain*_point*.csv")):
+        os.remove(stale)  # a previous run's chains, which the new manifest would not list
     for lane, results in enumerate(sweep.runs):
         for bi, res in enumerate(results):
             path = os.path.join(chains_dir, f"chain{lane:02d}_point{bi:02d}.csv")
@@ -480,7 +434,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="risklab", description=__doc__)
+    parser = _Parser(prog="risklab", description=__doc__, fromfile_prefix_chars="@")
     groups = parser.add_subparsers(dest="group", parser_class=_Parser)
     seen = {}
     for (group, name), (opts, _) in _COMMANDS.items():
@@ -511,7 +465,7 @@ def dispatch(argv) -> int:
         if not getattr(args, "group", None) or not getattr(args, "name", None):
             raise ConfigError("expected a command, e.g. 'analytic gardner'")
         opts, handler = _COMMANDS[(args.group, args.name)]
-        params = _merge(args, opts)
+        params = {o.dest: getattr(args, o.dest) for o in opts}
         manifest = Manifest([args.group, args.name], params)
         for path in _files(opts, params, "in"):
             manifest.add_input(path)

@@ -179,6 +179,8 @@ def split(data: LabelledDataset, fraction: float, seed) -> tuple[LabelledDataset
         raise DomainError(f"fraction must lie in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     k = int(np.ceil(fraction * data.n))
+    if k == data.n:  # k >= 1 for any n >= 1, so only the second half can be empty
+        raise DomainError(f"a split of n = {data.n} rows at fraction {fraction} leaves the second half empty")
     perm = rng.permutation(data.n)
     return data.subset(perm[:k]), data.subset(perm[k:])
 

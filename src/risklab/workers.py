@@ -23,12 +23,12 @@ def worker_count() -> int:
     """Worker-process cap for sweep chains and dataset-CSV writes.
 
     ``RISKLAB_THREADS`` when set (0 or a negative value means one worker),
-    else the machine's CPU count.  A value that is not an integer raises
-    ConfigError.
+    else the number of CPUs this process may run on.  A value that is not an
+    integer raises ConfigError.
     """
     env = os.environ.get("RISKLAB_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
         return max(1, int(env))
     except ValueError:

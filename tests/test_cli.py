@@ -17,15 +17,20 @@ from hypothesis import strategies as st
 
 import risklab
 import risklab.cli as cli
-from risklab.cli import dispatch, load_config
+from risklab.cli import dispatch
 from risklab.datasets import dataset_from_csv
-from risklab.errors import ConfigError
 from risklab.workers import worker_count
 
 
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def args_file(path, *args):
+    """Write ``args`` to ``path``, one per line; return the ``@path`` argument that reads them back."""
+    path.write_text("".join(f"{a}\n" for a in args))
+    return f"@{path}"
 
 
 class TestDispatchContracts:
@@ -108,19 +113,13 @@ class TestDispatchContracts:
           "--m-grid", "0"], "--seed"),
         (["data", "relabel", "--data", "d.csv"], "--teacher-seed"),
     ], ids=["simulate", "gen-gaussian", "sample", "relabel"])
-    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("form", ["flag", "config"])  # config: the seed read from an @args file
     def test_negative_seed_exits_one_naming_it(self, tmp_path, capsys, command, flag, form):
         out = tmp_path / "o.csv"
-        if form == "flag":
-            given, named = [flag, "-1"], f"argument {flag}"
-        else:
-            key = flag.lstrip("-").replace("-", "_")
-            cfg = tmp_path / "c.json"
-            cfg.write_text(json.dumps({key: -1}))
-            given, named = ["--config", str(cfg)], f"key '{key}'"
+        given = [flag, "-1"] if form == "flag" else [args_file(tmp_path / "run.args", flag, -1)]
         assert dispatch(command + given + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert named in err and ">= 0, got -1" in err
+        assert f"argument {flag}" in err and ">= 0, got -1" in err
         assert not any(tmp_path.glob("o.csv*"))
 
     @pytest.mark.parametrize("command", [
@@ -132,6 +131,24 @@ class TestDispatchContracts:
         out = tmp_path / "o.csv"
         assert dispatch(command + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["analytic", "boltzmann-risk", "--p", "5", "--delta", "2"], "--beta-grid"),
+        (["analytic", "gardner"], "--alpha-grid"),
+        (["analytic", "hebbian", "--p", "5", "--delta", "2"], "--m-grid"),
+        (["analytic", "gibbs-annealed", "--entropy", "e.csv"], "--m-grid"),
+        (["simulate", "hebbian", "--p", "5", "--delta", "2", "--seed", "1"], "--m-grid"),
+        (["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "3", "--delta", "1",
+          "--seed", "1"], "--beta-grid"),
+        (["sample", "annealed", "--machine", "perceptron-exact", "--p", "3", "--delta", "1",
+          "--seed", "1"], "--m-grid"),
+    ], ids=["boltzmann-risk", "gardner", "hebbian", "gibbs-annealed", "simulate", "sweep", "annealed"])
+    def test_empty_grid_exits_one_naming_it(self, tmp_path, capsys, command, flag):
+        # a grid of no points would write a header-only CSV, which every reader refuses
+        out = tmp_path / "o.csv"
+        assert dispatch(command + [flag, ",", "--out", str(out)]) == 1
+        assert f"argument {flag}: expected at least one value" in capsys.readouterr().err
+        assert not any(tmp_path.glob("o.csv*"))
 
     @pytest.mark.parametrize("command, message", [
         (["sample", "boltzmann-sweep", "--machine", "svm", "--data", "{data}", "--beta-grid", "0,1",
@@ -202,8 +219,9 @@ class TestDispatchContracts:
           "--beta-grid", "0", "--seed", "1"], ["--cold-start"]),
         (["sample", "annealed", "--machine", "perceptron-exact", "--p", "5", "--delta", "1",
           "--m-grid", "0", "--seed", "1"], ["--cold-start"]),
+        (["analytic", "hebbian", "--p", "5", "--delta", "1", "--m-grid", "1"], ["--config", "c.json"]),
     ], ids=["r-pad", "r-grid", "alpha", "m", "teacher-scale", "sweep-cold-start",
-            "annealed-cold-start"])
+            "annealed-cold-start", "config"])
     def test_deleted_option_is_unrecognised(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out.csv"
         assert dispatch(command + flag + ["--out", str(out)]) == 1
@@ -254,82 +272,87 @@ class TestDispatchContracts:
         assert not out.exists()
 
 
-class TestLoadConfig:
-    def test_empty_object_gives_defaults(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{}")
+class TestArgsFile:
+    # argparse reads an @file argument's lines in its place, one argument per line
+    def test_file_plus_flags_runs(self, tmp_path):
+        run = args_file(tmp_path / "run.args", "--p", 50, "--delta", 1)
         out = tmp_path / "h.csv"
-        code = dispatch(["analytic", "hebbian", "--config", str(cfg), "--p", "50",
-                         "--delta", "1", "--m-grid", "5", "--out", str(out)])
-        assert code == 0
+        assert dispatch(["analytic", "hebbian", run, "--m-grid", "5", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows] == ["5"]
+
+    def test_file_can_hold_the_command(self, tmp_path):
+        run = args_file(tmp_path / "run.args", "analytic", "hebbian", "--p", 50, "--delta", 1,
+                        "--m-grid", "2,4")
+        out = tmp_path / "h.csv"
+        assert dispatch([run, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows] == ["2", "4"]
 
     def test_flag_overrides_file(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"m_grid": [1, 2, 3, 4], "p": 50, "delta": 1.0}))
+        run = args_file(tmp_path / "run.args", "--m-grid", "1,2,3,4", "--p", 50, "--delta", 1.0)
         out = tmp_path / "h.csv"
-        code = dispatch(["analytic", "hebbian", "--config", str(cfg),
-                         "--m-grid", "7", "--out", str(out)])
-        assert code == 0
+        assert dispatch(["analytic", "hebbian", run, "--m-grid", "7", "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert len(rows) == 1 and rows[0][0] == "7"
         manifest = json.loads((tmp_path / "h.csv.manifest.json").read_text())
         assert manifest["parameters"]["m_grid"] == [7]
 
-    def test_unknown_key_named_in_rejection(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"betta_grid": [1]}))
-        with pytest.raises(ConfigError, match="betta_grid"):
-            load_config(cfg, known_keys=["beta_grid"])
+    def test_unknown_option_named_in_rejection(self, tmp_path, capsys):
+        run = args_file(tmp_path / "run.args", "--betta-grid", 1)
         out = tmp_path / "h.csv"
-        code = dispatch(["analytic", "hebbian", "--config", str(cfg), "--p", "50",
-                         "--delta", "1", "--m-grid", "5", "--out", str(out)])
-        assert code == 1
+        assert dispatch(["analytic", "hebbian", run, "--p", "50", "--delta", "1", "--m-grid", "5",
+                         "--out", str(out)]) == 1
+        assert "unrecognized arguments: --betta-grid 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("record, flags", [
-        ({"p": "50", "delta": 1, "m_grid": [2]}, ["--p", "50", "--delta", "1", "--m-grid", "2"]),
-        ({"p": 50, "delta": "1.0", "m_grid": "1,2"}, ["--p", "50", "--delta", "1", "--m-grid", "1,2"]),
-    ])
-    def test_values_converted_like_flags(self, tmp_path, record, flags):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(record))
+    @pytest.mark.parametrize("lines, flags", [
+        (["--p", "50", "--delta", "1", "--m-grid", "2"], ["--p", "50", "--delta", "1", "--m-grid", "2"]),
+        (["--p=50", "--delta=1.0", "--m-grid=1,2"], ["--p", "50", "--delta", "1", "--m-grid", "1,2"]),
+    ], ids=["one-per-line", "with-equals"])
+    def test_file_gives_the_bytes_of_the_same_flags(self, tmp_path, lines, flags):
+        run = args_file(tmp_path / "run.args", *lines)
         from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
-        assert dispatch(["analytic", "hebbian", "--config", str(cfg), "--out", str(from_file)]) == 0
+        assert dispatch(["analytic", "hebbian", run, "--out", str(from_file)]) == 0
         assert dispatch(["analytic", "hebbian", *flags, "--out", str(from_flags)]) == 0
         assert from_file.read_bytes() == from_flags.read_bytes()
 
-    @pytest.mark.parametrize("record, key", [
-        ({"p": "fifty"}, "p"),
-        ({"p": 50.5}, "p"),
-        ({"delta": True}, "delta"),
-        ({"delta": [1.0]}, "delta"),
-        ({"m_grid": ["x"]}, "m_grid"),
-        ({"m_grid": [[1]]}, "m_grid"),
-        ({"m_grid": {"a": 1}}, "m_grid"),
-    ])
-    def test_mistyped_value_exits_one_naming_key(self, tmp_path, capsys, record, key):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"p": 50, "delta": 1, "m_grid": [2], **record}))
+        def parameters(out):
+            return json.loads(Path(f"{out}.manifest.json").read_text())["parameters"] | {"out": None}
+
+        assert parameters(from_file) == parameters(from_flags)
+
+    @pytest.mark.parametrize("entry, flag", [
+        (["--p", "fifty"], "--p"),
+        (["--p", "50.5"], "--p"),
+        (["--delta", "true"], "--delta"),
+        (["--delta", "[1.0]"], "--delta"),
+        (["--m-grid", "x"], "--m-grid"),
+        (["--m-grid", "1,x"], "--m-grid"),
+        (["--m-grid", ","], "--m-grid"),
+    ], ids=["p-word", "p-fraction", "delta-boolean", "delta-list", "m-grid-word", "m-grid-partly-bad",
+            "m-grid-empty"])
+    def test_mistyped_value_exits_one_naming_flag(self, tmp_path, capsys, entry, flag):
+        run = args_file(tmp_path / "run.args", "--p", 50, "--delta", 1, "--m-grid", 2, *entry)
         out = tmp_path / "h.csv"
-        assert dispatch(["analytic", "hebbian", "--config", str(cfg), "--out", str(out)]) == 1
-        assert f"'{key}'" in capsys.readouterr().err
+        assert dispatch(["analytic", "hebbian", run, "--out", str(out)]) == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_flag_value_must_be_boolean(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"calibrate": "yes"}))
-        code = dispatch(["sample", "boltzmann-sweep", "--config", str(cfg), "--machine",
-                         "perceptron-exact", "--p", "5", "--delta", "1", "--beta-grid", "0",
-                         "--seed", "1", "--out", str(tmp_path / "c.csv")])
-        assert code == 1
-        assert "'calibrate'" in capsys.readouterr().err
+    def test_switch_takes_no_value(self, tmp_path, capsys):
+        run = args_file(tmp_path / "run.args", "--calibrate=yes")
+        out = tmp_path / "c.csv"
+        assert dispatch(["sample", "boltzmann-sweep", run, "--machine", "perceptron-exact", "--p", "5",
+                         "--delta", "1", "--beta-grid", "0", "--seed", "1", "--out", str(out)]) == 1
+        assert "argument --calibrate" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_malformed_json_exits_one(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        code = dispatch(["analytic", "hebbian", "--config", str(cfg), "--p", "50",
-                         "--delta", "1", "--m-grid", "5", "--out", str(tmp_path / "h.csv")])
-        assert code == 1
+    def test_missing_file_exits_one_naming_it(self, tmp_path, capsys):
+        missing, out = tmp_path / "missing.args", tmp_path / "h.csv"
+        assert dispatch(["analytic", "hebbian", f"@{missing}", "--p", "50", "--delta", "1",
+                         "--m-grid", "5", "--out", str(out)]) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminismAndManifest:
@@ -469,6 +492,20 @@ class TestSamplingCommands:
         # one worker process per chain up to the cap; no --calibrate, no probes
         assert manifest["chain_workers"] == min(worker_count(), 2)
         assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40), "calibration_steps": 0}
+
+    def test_rerun_leaves_only_the_chain_csvs_its_manifest_lists(self, tmp_path):
+        out = tmp_path / "c.csv"
+        chains = tmp_path / "c.csv.chains"
+        args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact", "--p", "5", "--delta", "1",
+                "--burn-in", "5", "--samples", "5", "--seed", "1", "--out", str(out)]
+        assert dispatch(args + ["--beta-grid", "0,1,2", "--chains", "3"]) == 0
+        assert len(list(chains.glob("*.csv"))) == 9
+        (chains / "notes.txt").write_text("kept: not a chain CSV\n")
+        assert dispatch(args + ["--beta-grid", "0", "--chains", "1"]) == 0
+        record = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        listed = {o["path"] for o in record["outputs"]} - {str(out)}
+        assert {str(p) for p in chains.glob("*.csv")} == listed == {str(chains / "chain00_point00.csv")}
+        assert (chains / "notes.txt").exists()
 
     def test_dataset_sweep_manifest_records_its_split(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -232,6 +232,12 @@ class TestSplit:
             with pytest.raises(DomainError):
                 split(data, frac, seed=0)
 
+    @pytest.mark.parametrize("n, fraction", [(1, 0.5), (2, 0.9), (10, 0.95)])
+    def test_empty_half_refused_naming_n_and_fraction(self, n, fraction):
+        data = gen_gaussian_pair(GaussianClassSpec(3, 1.0), n, seed=14)
+        with pytest.raises(DomainError, match=rf"n = {n} rows at fraction {fraction}"):
+            split(data, fraction, seed=0)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import risklab.cli
 import risklab.datasets
 import risklab.gibbs
 import risklab.mcmc
@@ -213,10 +212,8 @@ def test_single_valued_settings_are_not_parameters():
     with pytest.raises(TypeError):
         GaussianClassSpec(3, 1.0, t=np.array([0.0, 1.0, 0.0]))
     assert not hasattr(GaussianClassSpec(3, 1.0), "t")  # the target is e₁ by definition
-    # mu_prime and load_config's known keys have no default any more
-    required = inspect.Parameter.empty
-    assert inspect.signature(TrainingRatioModel).parameters["mu_prime"].default is required
-    assert inspect.signature(risklab.cli.load_config).parameters["known_keys"].default is required
+    # mu_prime has no default any more
+    assert inspect.signature(TrainingRatioModel).parameters["mu_prime"].default is inspect.Parameter.empty
     assert not hasattr(TrainingRatioModel, "mu_derivative")
     with pytest.raises(TypeError):
         TrainingRatioModel(mu=lambda r: 0.0)

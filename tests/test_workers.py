@@ -5,7 +5,7 @@ import time
 import pytest
 
 from risklab.errors import RisklabError
-from risklab.workers import forked_map
+from risklab.workers import fork_workers, forked_map, worker_count
 
 
 class TestForkedMap:
@@ -41,3 +41,20 @@ class TestForkedMap:
             forked_map(task, range(2), 2)
         assert time.perf_counter() - t0 < 5
         assert multiprocessing.active_children() == []
+
+
+class TestWorkerCount:
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("RISKLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1
+        assert fork_workers(1000) == 1
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delenv("RISKLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert worker_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count() == 1
