@@ -60,6 +60,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        """One argument per ``@file`` line: a blank line holds none, and a flag not its value."""
+        fields = arg_line.split()
+        if len(fields) > 1 and fields[0].startswith("--") and "=" not in fields[0]:
+            raise ConfigError(f"@file line {arg_line!r}: put one argument per line, or {fields[0]}=value")
+        return [arg_line] if fields else []
+
 
 # ---------------------------------------------------------------------------
 # option table
@@ -263,8 +270,7 @@ def _run_sweep(params, manifest, mode, grid_column):
                       zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
             manifest.add_output(path)
     runs = [res for results in sweep.runs for res in results]
-    manifest.record["step_counts"] = {"total_steps": sum(int(r.steps[-1]) for r in runs),
-                                      "calibration_steps": sum(r.calibration_steps for r in runs)}
+    manifest.record["step_counts"] = {"total_steps": sum(int(r.steps[-1]) for r in runs)}
     manifest.record["chain_workers"] = sweep.workers
     manifest.record["proposal_scales"] = [r.proposal_scale for r in runs]
     manifest.record["calibration_converged"] = [r.calibration_converged for r in runs]
@@ -368,7 +374,7 @@ _MACHINE_OPTS = [
     Opt("--thin", int, default=2),
     Opt("--chains", int, default=1),
     Opt("--seed", _seed, required=True),
-    Opt("--calibrate", is_flag=True, help="pre-burn-in proposal scale calibration"),
+    Opt("--calibrate", is_flag=True, help="adapt the proposal scale during burn-in, then freeze it"),
     _OUT,
 ]
 

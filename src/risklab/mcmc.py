@@ -12,7 +12,8 @@ the number the chain optimises.
 A chain given no start walks the unit sphere, whatever the machine's weight
 constraint: an unbounded space has no flat reference measure, so a β = 0
 chain would diffuse instead of equilibrating.  That is also why a
-calibrated scale stops at ``MAX_SCALE`` = π.
+calibrated scale stops at ``MAX_SCALE`` = π.  It adapts during burn-in
+only, so the recorded samples come from a Metropolis chain's fixed kernel.
 
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
@@ -148,9 +149,8 @@ class ChainResult:
     ess: float
     proposal_scale: float
     final_state: ChainState
-    calibration_steps: int  # probe steps before burn-in, not in ``steps``
-    calibration_converged: bool | None  # None: run without calibration
-    phase_s: dict  # wall seconds of "calibrate", "burn_in" and "sample"
+    calibration_converged: bool | None  # sampling-phase rate in 0.2-0.4; None: not calibrated
+    phase_s: dict  # wall seconds of "burn_in" (adaptive when calibrated) and "sample"
 
 
 @dataclass
@@ -326,47 +326,43 @@ def _batch_means(values: np.ndarray) -> tuple[float, float]:
 # cap of the calibrated scale: on the unit sphere, where every chain without a
 # given start walks, a Gaussian step this large already lands almost uniformly
 MAX_SCALE = math.pi
-# the calibration's target acceptance band, its steps per probe and its most rounds
+# the calibration's target acceptance band and its steps per burn-in window
 _TARGET_BAND = (0.2, 0.4)
-_PROBE_STEPS = 100
-_MAX_ROUNDS = 25
+_WINDOW = 100
 
 
-def _calibrate_scale(state, config, advance):
-    """Pre-burn-in scale search aiming for an acceptance rate in [0.2, 0.4].
+def _burn_in(state, config, advance, calibrate) -> ChainConfig:
+    """Run ``config.burn_in`` steps; return the config to sample with.
 
-    Each round probes 100 steps, then shrinks the scale ×0.7 below the band
-    or grows it ×1.4, never past ``MAX_SCALE``, above it.  Returns
-    (scale, True) once a probe's rate lands in the band.  It returns
-    (MAX_SCALE, False) without probing for a flat target (β or m = 0, where
-    every move is accepted), (MAX_SCALE, False) at the first probe at the
-    cap whose rate is still above the band, and the last scale and False
-    when 25 rounds run out.
+    With ``calibrate`` the burn-in runs in 100-step windows (the last may be
+    shorter), after each of which the scale shrinks ×0.7 if the window's
+    rate fell below 0.2 or grows ×1.4, never past ``MAX_SCALE``, if it rose
+    above 0.4.  A flat target (β or m = 0, where every move is accepted)
+    burns in at ``MAX_SCALE`` without adapting.
     """
-    if config.beta == 0:
-        return MAX_SCALE, False
+    if not calibrate or config.beta == 0:
+        cfg = replace(config, proposal_scale=MAX_SCALE) if calibrate else config
+        advance(cfg, cfg.burn_in)
+        return cfg
     low, high = _TARGET_BAND
     scale = min(config.proposal_scale, MAX_SCALE)
-    for _ in range(_MAX_ROUNDS):
+    for done in range(0, config.burn_in, _WINDOW):
+        n = min(_WINDOW, config.burn_in - done)
         before = state.accepts
-        advance(replace(config, proposal_scale=scale), _PROBE_STEPS)
-        rate = (state.accepts - before) / _PROBE_STEPS
+        advance(replace(config, proposal_scale=scale), n)
+        rate = (state.accepts - before) / n
         if rate < low:
             scale *= 0.7
-        elif rate <= high:
-            return scale, True
-        elif scale == MAX_SCALE:
-            return scale, False
-        else:
+        elif rate > high:
             scale = min(scale * 1.4, MAX_SCALE)
-    return scale, False
+    return replace(config, proposal_scale=scale)
 
 
 def _chain_step(mode: str, beta: float):
     """(public step, its arguments ahead of the config) for a chain in ``mode``.
 
     The step is read from the module when the chain starts, so a wrapper set
-    there beforehand sees every step of the chain, calibration probes included.
+    there beforehand sees every step of the chain, adaptive burn-in included.
     """
     if mode == "boltzmann":
         return metropolis_step, ()
@@ -394,9 +390,9 @@ def run_chain(
     move reuses the previous record's value.  In annealed mode the
     config's beta field is read as the sample count m.  Without ``initial``
     the chain starts from ``random_weights`` moved onto the unit sphere.
-    With ``calibrate`` the proposal scale is first searched for by
-    ``_calibrate_scale`` (at most ``MAX_SCALE``; no probes for a flat
-    target), and its probe steps are counted apart from ``steps``.
+    With ``calibrate`` the burn-in adapts the proposal scale (``_burn_in``),
+    and the chain counts as converged when its sampling-phase acceptance
+    rate at the frozen scale lies in the 0.2–0.4 band.
     """
     rng = stream(config.seed, *seed_path)
     step, lead = _chain_step(mode, config.beta)
@@ -414,17 +410,9 @@ def run_chain(
         for _ in range(n):
             step(*args)
 
-    t_start = time.perf_counter()
-    scale, converged = config.proposal_scale, None
-    if calibrate:
-        scale, converged = _calibrate_scale(state, config, advance)
-    cfg = replace(config, proposal_scale=scale)
-    calibration_steps = state.steps_taken
-    state.steps_taken = 0
-    state.accepts = 0
-
     t_burn = time.perf_counter()
-    advance(cfg, cfg.burn_in)
+    cfg = _burn_in(state, config, advance, calibrate)
+    burn_accepts = state.accepts
 
     t_sample = time.perf_counter()
     steps = np.empty(cfg.samples, dtype=np.int64)
@@ -446,14 +434,15 @@ def run_chain(
     t_end = time.perf_counter()
 
     stderr, ess = _batch_means(risk_rep)
-    rate = state.accepts / state.steps_taken if state.steps_taken else 0.0
+    rate = state.accepts / state.steps_taken
+    sample_rate = (state.accepts - burn_accepts) / (cfg.samples * cfg.thin)
+    converged = _TARGET_BAND[0] <= sample_rate <= _TARGET_BAND[1] if calibrate else None
     return ChainResult(
         steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
         accepted=accepted, acceptance_rate=rate, mean_report=float(risk_rep.mean()),
-        stderr_report=stderr, ess=ess, proposal_scale=scale,
-        final_state=state, calibration_steps=calibration_steps, calibration_converged=converged,
-        phase_s={"calibrate": t_burn - t_start, "burn_in": t_sample - t_burn,
-                 "sample": t_end - t_sample},
+        stderr_report=stderr, ess=ess, proposal_scale=cfg.proposal_scale,
+        final_state=state, calibration_converged=converged,
+        phase_s={"burn_in": t_sample - t_burn, "sample": t_end - t_sample},
     )
 
 

@@ -347,6 +347,31 @@ class TestArgsFile:
         assert "argument --calibrate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blank_line_carries_no_argument(self, tmp_path):
+        run = args_file(tmp_path / "run.args", "--p", 50, "", "  ", "--delta", 1)
+        out = tmp_path / "h.csv"
+        assert dispatch(["analytic", "hebbian", run, "--m-grid", "5", "--out", str(out)]) == 0
+        assert [row[0] for row in read_rows(out)[1]] == ["5"]
+
+    @pytest.mark.parametrize("line", ["--p 50", "--p  50 ", "--m-grid 1, 2"])
+    def test_flag_and_value_on_one_line_exits_one_quoting_it(self, tmp_path, capsys, line):
+        run = args_file(tmp_path / "run.args", line, "--delta", 1, "--p", 50, "--m-grid", 2)
+        out = tmp_path / "h.csv"
+        assert dispatch(["analytic", "hebbian", run, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert repr(line) in err and "one argument per line" in err
+        assert not out.exists()
+
+    def test_value_line_may_hold_spaces(self, tmp_path):
+        out = tmp_path / "with space" / "h t.csv"
+        out.parent.mkdir()
+        run = args_file(tmp_path / "run.args", "--p", 50, "--delta", 1, "--m-grid", 5, "--out", out)
+        assert dispatch(["analytic", "hebbian", run]) == 0
+        assert [row[0] for row in read_rows(out)[1]] == ["5"]
+        equals = args_file(tmp_path / "eq.args", "--p", 50, "--delta", 1, "--m-grid", 5, f"--out={out}.2")
+        assert dispatch(["analytic", "hebbian", equals]) == 0
+        assert Path(f"{out}.2").read_bytes() == out.read_bytes()
+
     def test_missing_file_exits_one_naming_it(self, tmp_path, capsys):
         missing, out = tmp_path / "missing.args", tmp_path / "h.csv"
         assert dispatch(["analytic", "hebbian", f"@{missing}", "--p", "50", "--delta", "1",
@@ -489,9 +514,9 @@ class TestSamplingCommands:
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         listed = {o["path"] for o in manifest["outputs"]}
         assert str(out) in listed and all(str(f) in listed for f in chain_files)
-        # one worker process per chain up to the cap; no --calibrate, no probes
+        # one worker process per chain up to the cap; every step is burn-in or sampling
         assert manifest["chain_workers"] == min(worker_count(), 2)
-        assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40), "calibration_steps": 0}
+        assert manifest["step_counts"] == {"total_steps": 2 * 2 * (50 + 40)}
 
     def test_rerun_leaves_only_the_chain_csvs_its_manifest_lists(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -533,12 +558,12 @@ class TestSamplingCommands:
                          "--thin", "1", "--proposal-scale", "0.4", "--calibrate",
                          "--seed", "21", "--out", str(out)])
         assert code == 0
-        counts = json.loads((tmp_path / "curve.csv.manifest.json").read_text())["step_counts"]
-        assert counts["total_steps"] == 2 * 2 * (50 + 40)  # burn-in + samples, no probes
-        # the 2 beta = 0 chains take the scale cap without probing; the 2 beta = 5
-        # chains probe 100 steps per round, 1 to 25 rounds
-        calibration = counts["calibration_steps"]
-        assert calibration % 100 == 0 and 2 * 100 <= calibration <= 2 * 25 * 100
+        record = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        # calibration adapts during burn-in, so it adds no steps and no count of its own
+        assert record["step_counts"] == {"total_steps": 2 * 2 * (50 + 40)}
+        for lane in range(2):
+            steps = [int(row[0]) for row in read_rows(tmp_path / f"curve.csv.chains/chain0{lane}_point01.csv")[1]]
+            assert steps == list(range(51, 91))
 
     def test_manifest_records_calibration_outcome(self, tmp_path):
         args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
@@ -582,9 +607,8 @@ class TestSamplingCommands:
         phases = record["chain_phase_s"]
         assert len(phases) == len(record["proposal_scales"]) == 4
         for phase in phases:
-            assert set(phase) == {"calibrate", "burn_in", "sample"}
-            assert all(t >= 0 for t in phase.values())
-            assert phase["calibrate"] > 0  # --calibrate probes at least one round
+            assert set(phase) == {"burn_in", "sample"}  # calibration is part of burn-in
+            assert all(t > 0 for t in phase.values())
 
     def test_worker_chain_error_exits_two(self, tmp_path, monkeypatch):
         data_csv = tmp_path / "d.csv"
@@ -642,8 +666,39 @@ class TestSamplingCommands:
                          "--burn-in", "20", "--samples", "30", "--thin", "2", "--calibrate",
                          "--seed", "1", "--out", str(out)]) == 0
         steps = json.loads((tmp_path / "x.csv.manifest.json").read_text())["step_counts"]
-        assert steps["calibration_steps"] > 0
-        assert len(calls) == steps["total_steps"] + steps["calibration_steps"] + 3  # + one start per β
+        assert len(calls) == steps["total_steps"] + 3  # + one start per β
+
+    def test_cold_calibrated_run_matches_warm_sweep(self, tmp_path):
+        # A cold start on a dataset machine descends through its first windows; a
+        # scale frozen there sticks the chain far above the Boltzmann mean.
+        data = tmp_path / "d.csv"
+        assert dispatch(["data", "gen-gaussian", "--p", "20", "--delta", "0", "--n", "2000",
+                         "--seed", "3", "--out", str(tmp_path / "g.csv")]) == 0
+        assert dispatch(["data", "relabel", "--data", str(tmp_path / "g.csv"), "--kind", "sphere-linear",
+                         "--teacher-seed", "4", "--out", str(data)]) == 0  # 1000 acceptance rows
+
+        def at_beta_1000(grid, samples, thin, name):
+            out = tmp_path / name
+            assert dispatch(["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", str(data),
+                             "--beta-grid", grid, "--chains", "2", "--burn-in", "10000",
+                             "--samples", str(samples), "--thin", str(thin), "--calibrate",
+                             "--seed", "1", "--out", str(out)]) == 0
+            point = grid.count(",")
+            chains = [np.loadtxt(tmp_path / f"{name}.chains/chain0{lane}_point0{point}.csv",
+                                 delimiter=",", skiprows=1) for lane in range(2)]
+            # 20 batch means of >= 1000 steps each, longer than the chain's correlation time
+            batches = np.array([c[:, 1].reshape(20, -1).mean(axis=1) for c in chains])
+            mean = batches.mean()
+            se = math.sqrt((batches.var(axis=1, ddof=1) / 20).sum()) / 2
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            return mean, se, [c[:, 3] for c in chains], manifest["calibration_converged"][point::point + 1]
+
+        warm, warm_se, _, _ = at_beta_1000("0,10,30,100,300,1000", 4000, 5, "warm.csv")
+        cold, cold_se, accepted, converged = at_beta_1000("1000", 20000, 1, "cold.csv")
+        assert abs(cold - warm) <= 3 * math.hypot(cold_se, warm_se), (cold, warm)
+        # thin 1: the accepted column is the sampling phase's step-by-step acceptance
+        assert 0.2 <= np.concatenate(accepted).mean() <= 0.4
+        assert converged == [bool(0.2 <= a.mean() <= 0.4) for a in accepted]
 
     def test_non_finite_teacher_file_exits_two(self, tmp_path):
         data_csv, teacher = tmp_path / "d.csv", tmp_path / "t.bin"

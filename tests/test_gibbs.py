@@ -201,7 +201,7 @@ def test_single_valued_settings_are_not_parameters():
         risklab.gibbs.estimate_local_exponent: {"num_bins", "lower_quantile"},
         risklab.perceptron.boltzmann_risk_exact: {"rel_tol"},
         risklab.replica.solve_saddle: {"residual_tol"},
-        risklab.mcmc._calibrate_scale: {"target", "rounds", "probe"},
+        risklab.mcmc._burn_in: {"target", "rounds", "probe", "window"},
         risklab.perceptron.GaussianClassSpec: {"t"},
         risklab.datasets.dataset_from_csv: {"class_count"},
         risklab.datasets.load_idx: {"class_count"},

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -503,12 +504,12 @@ class TestRunChain:
         monkeypatch.setattr(mcmc, step_name, counting)
         cfg = ChainConfig(beta=5.0, proposal_scale=0.4, burn_in=30, samples=20, thin=3, seed=55)
         res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode, calibrate=True)
-        assert res.calibration_steps > 0
-        assert len(calls) == res.calibration_steps + 30 + 20 * 3
+        assert res.calibration_converged is not None
+        assert len(calls) == 30 + 20 * 3  # the adaptive burn-in is the burn-in
 
     def test_calibration_outcome_recorded(self):
         def chain(beta, calibrate):
-            cfg = ChainConfig(beta=beta, proposal_scale=0.5, burn_in=10, samples=10,
+            cfg = ChainConfig(beta=beta, proposal_scale=0.5, burn_in=1000, samples=400,
                               thin=1, seed=56)
             return run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=calibrate)
 
@@ -516,34 +517,49 @@ class TestRunChain:
         flat = chain(0.0, True)
         assert flat.calibration_converged is False
         assert flat.proposal_scale == math.pi
-        assert chain(10.0, True).calibration_converged is True
+        calibrated = chain(10.0, True)
+        assert calibrated.calibration_converged is True
+        assert 0.2 <= calibrated.accepted.mean() <= 0.4  # thin 1: the sampling-phase rate
         assert chain(10.0, False).calibration_converged is None
 
     @pytest.mark.parametrize("mode", ["boltzmann", "annealed"])
     def test_flat_target_takes_cap_without_probing(self, mode):
-        cfg = ChainConfig(beta=0.0, proposal_scale=0.05, burn_in=10, samples=10, thin=1, seed=59)
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.05, burn_in=300, samples=10, thin=1, seed=59)
         res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode, calibrate=True)
-        assert res.calibration_steps == 0
         assert res.proposal_scale == mcmc.MAX_SCALE == math.pi
         assert res.calibration_converged is False
+        assert res.steps[-1] == 300 + 10 and res.acceptance_rate == 1.0
+        plain = run_chain(replace(cfg, proposal_scale=math.pi), PSPEC, exact_perceptron_risk, mode=mode)
+        assert same_chain(res, plain)  # the whole burn-in ran at the cap
 
     @pytest.mark.parametrize("start", [0.05, 0.5, 3.0])
     def test_rate_above_band_stops_at_cap(self, start):
-        # a constant risk accepts every move at any beta, so the rate never drops into the band
-        cfg = ChainConfig(beta=10.0, proposal_scale=start, burn_in=10, samples=10, thin=1, seed=60)
-        res = run_chain(cfg, PSPEC, lambda w: 0.25, calibrate=True)
-        rounds = math.ceil(math.log(math.pi / start) / math.log(1.4)) + 1
-        assert res.calibration_steps == 100 * rounds
-        assert res.proposal_scale == math.pi
-        assert res.calibration_converged is False
+        # a constant risk accepts every move at any beta: each 100-step window grows the
+        # scale x1.4 until it reaches pi, where it stays, and sampling is never in the band
+        windows = math.ceil(math.log(math.pi / start) / math.log(1.4))
+
+        def chain(burn_in):
+            cfg = ChainConfig(beta=10.0, proposal_scale=start, burn_in=burn_in, samples=10,
+                              thin=1, seed=60)
+            return run_chain(cfg, PSPEC, lambda w: 0.25, calibrate=True)
+
+        short = chain(100 * (windows - 1))
+        assert short.proposal_scale == pytest.approx(start * 1.4 ** (windows - 1))
+        assert short.proposal_scale < math.pi
+        for burn_in in (100 * (windows - 1) + 1, 100 * windows, 100 * windows + 250):
+            res = chain(burn_in)  # a shorter last window adapts too
+            assert res.proposal_scale == math.pi
+            assert res.calibration_converged is False
 
     @pytest.mark.parametrize("start", [0.01, 0.5, 3.0, 10.0])
     @pytest.mark.parametrize("beta", [0.0, 0.3, 10.0, 200.0])
     def test_calibrated_scale_never_exceeds_cap(self, start, beta):
-        cfg = ChainConfig(beta=beta, proposal_scale=start, burn_in=0, samples=1, thin=1, seed=61)
+        cfg = ChainConfig(beta=beta, proposal_scale=start, burn_in=700, samples=1, thin=1, seed=61)
         res = run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=True)
         assert 0 < res.proposal_scale <= math.pi
-        assert res.calibration_steps <= 25 * 100
+        assert res.steps[-1] == 700 + 1
+        unadapted = run_chain(replace(cfg, burn_in=0), PSPEC, exact_perceptron_risk, calibrate=True)
+        assert unadapted.proposal_scale == (min(start, math.pi) if beta else math.pi)
 
     def test_random_start_walks_unit_sphere(self):
         spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(2, 2))
