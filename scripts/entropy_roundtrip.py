@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from risklab import GaussianClassSpec, risk_entropy
-from risklab.cli import dispatch, read_entropy_csv
+from risklab import GaussianClassSpec, read_entropy_csv, risk_entropy
+from risklab.cli import dispatch
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/roundtrip")
 P = int(sys.argv[2]) if len(sys.argv) > 2 else 20

@@ -6,9 +6,10 @@ The invocations cover every command: the analytic and simulate commands;
 (sphere-linear and mlp teachers with ``--save-teacher``, and a teacher read
 back with ``--teacher-weights``); both sweeps on all three machines at 1
 and 2 chains, with and without ``--calibrate``; ``reconstruct entropy`` on
-an exact and a sampled curve; ``fit quadratic``.  Every file written under
-OUTDIR except the manifests, whose timings change from run to run, is
-printed as ``sha256  relative/path``, sorted by path.
+an exact and a sampled curve; ``fit quadratic``.  Every sweep is read back
+with ``load_sweep``, and the script exits non-zero naming a sweep it refuses.
+Every file written under OUTDIR except the manifests, whose timings change
+from run to run, is printed as ``sha256  relative/path``, sorted by path.
 
 Two trees produce the same outputs when this script prints the same lines
 in both, e.g. under ``RISKLAB_THREADS`` 1, 2 and unset:
@@ -24,8 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from risklab import LabelledDataset, write_idx
+from risklab import LabelledDataset, load_sweep, write_idx
 from risklab.cli import dispatch
+from risklab.errors import ConfigError
 
 SWEEP = ["--burn-in", 50, "--samples", 40, "--thin", 1, "--proposal-scale", 0.3]
 GRIDS = {"boltzmann-sweep": ["--beta-grid", "0,3,10"], "annealed": ["--m-grid", "0,5,20"]}
@@ -74,6 +76,10 @@ def main(out: Path):
                     tag = f"{command}_{name}_{chains}{'_cal' if calibrate else ''}"
                     run("sample", command, "--machine", name, *machine, *grid, *SWEEP, "--chains", chains,
                         *calibrate, "--seed", 5, "--out", o(f"{tag}.csv"))
+                    try:
+                        load_sweep(o(f"{tag}.csv"))
+                    except ConfigError as exc:
+                        raise SystemExit(f"sweep {tag} refused: {exc}")
 
     for curve in ("boltzmann_risk", "boltzmann-sweep_perceptron-exact_2"):
         run("reconstruct", "entropy", "--curve", o(f"{curve}.csv"), "--anchor-s0", 0,

@@ -10,3 +10,4 @@ from .datasets import *  # noqa: F401,F403
 from .mcmc import *  # noqa: F401,F403
 from .workers import *  # noqa: F401,F403
 from .reconstruction import *  # noqa: F401,F403
+from .sweeps import *  # noqa: F401,F403

@@ -1,4 +1,4 @@
-"""Command-line front end: argument parsing, manifests, CSV emission.
+"""Command-line front end: argument parsing, dispatch and manifests.
 
 argparse reads every parameter, from flags or from ``@file`` arguments:
 ``risklab analytic hebbian @run.args --m-grid 7 --out h.csv`` reads one
@@ -12,16 +12,15 @@ wall-clock times and are not byte-stable); its ``parameters`` are the
 parsed flags, by destination name.
 
 CSV and JSON files, dataset CSVs included, are written atomically (temp
-file + rename); :mod:`risklab.datasets` owns the CSV format.
+file + rename); :mod:`risklab.datasets` owns the CSV format, and
+:mod:`risklab.sweeps` a sweep's files, the curve and entropy CSV readers and
+the file fingerprints manifests record.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
-import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,9 +30,9 @@ import numpy as np
 
 from . import __version__
 from .datasets import (atomic_write, dataset_from_csv, dataset_to_csv, gen_gaussian_pair, load_idx,
-                       read_table, split, teacher_relabel, whole_numbers, write_csv)
+                       split, teacher_relabel, write_csv)
 from .errors import ConfigError, DomainError, RisklabError
-from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, boltzmann_sweep
+from .mcmc import ChainConfig, boltzmann_sweep
 from .perceptron import (
     GaussianClassSpec,
     boltzmann_risk_exact,
@@ -49,9 +48,10 @@ from .predictors import (
     save_weight_vector,
     empirical_risk,
 )
-from .reconstruction import EntropyCurve, predicted_annealed_risk, quadratic_fit, reconstruct
+from .reconstruction import predicted_annealed_risk, quadratic_fit, reconstruct
 from .replica import solve_saddle
 from .rng import stream
+from .sweeps import file_fingerprint, read_curve_csv, read_entropy_csv, write_sweep
 
 __all__ = ["dispatch", "main"]
 
@@ -122,14 +122,6 @@ def _register(parser, opts):
 # output helpers
 
 
-def _fingerprint(path) -> dict:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return {"path": str(path), "sha256": digest.hexdigest(), "bytes": os.path.getsize(path)}
-
-
 class Manifest:
     """Collects the run record while a command executes."""
 
@@ -146,37 +138,14 @@ class Manifest:
         self._start = time.perf_counter()
 
     def add_input(self, path):
-        self.record["dataset_fingerprints"].append(_fingerprint(path))
+        self.record["dataset_fingerprints"].append(file_fingerprint(path))
 
     def add_output(self, path):
-        self.record["outputs"].append(_fingerprint(path))
+        self.record["outputs"].append(file_fingerprint(path))
 
     def write(self, out_path):
         self.record["wall_clock_s"] = time.perf_counter() - self._start
         atomic_write(f"{out_path}.manifest.json", [json.dumps(self.record, indent=2, default=str), "\n"])
-
-
-def read_curve_csv(path) -> BoltzmannCurve:
-    header, table = read_table(path)
-    if "beta" not in header or "risk" not in header:
-        raise ConfigError(f"{path}: curve CSV needs 'beta' and 'risk' columns, got {header}")
-    columns = {name: table[:, header.index(name)] for name in header}
-    beta = columns["beta"]
-    if not np.isfinite(beta).all():
-        raise ConfigError(f"{path}: beta must be finite, got {beta[~np.isfinite(beta)][0]}")
-    rows = np.column_stack([columns.get(name, np.zeros(len(table)))
-                            for name in ("beta", "risk", "stderr", "acceptance_rate", "ess")])
-    return BoltzmannCurve(tuple(BoltzmannPoint(*row) for row in rows.tolist()))
-
-
-def read_entropy_csv(path) -> EntropyCurve:
-    header, table = read_table(path)
-    if header[:2] != ["r", "s"]:
-        raise ConfigError(f"{path}: entropy CSV needs columns r,s[,pooled_flag], got {header}")
-    pooled = None
-    if "pooled_flag" in header:
-        pooled = whole_numbers(path, "pooled_flag", table[:, header.index("pooled_flag")])
-    return EntropyCurve(r=table[:, 0], s=table[:, 1], pooled=pooled)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +208,7 @@ def _build_machine(params, manifest):
 
 
 def _run_sweep(params, manifest, mode, grid_column):
-    """``sample`` commands: the curve goes to --out, each chain to <out>.chains/."""
+    """``sample`` commands: the sweep's files (:func:`write_sweep`) and its manifest fields."""
     spec, risk_fn, report_fn = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
                        samples=params["samples"], thin=params["thin"], seed=params["seed"])
@@ -253,26 +222,13 @@ def _run_sweep(params, manifest, mode, grid_column):
         calibrate=params["calibrate"],
         mode=mode,
     )
-    out = params["out"]
-    write_csv(
-        out,
-        [grid_column, "risk", "stderr", "acceptance_rate", "ess"],
-        [(p.beta, p.risk, p.stderr, p.acceptance_rate, p.ess) for p in sweep.curve.points],
-    )
-    chains_dir = f"{out}.chains"
-    os.makedirs(chains_dir, exist_ok=True)
-    for stale in glob.glob(os.path.join(glob.escape(chains_dir), "chain*_point*.csv")):
-        os.remove(stale)  # a previous run's chains, which the new manifest would not list
-    for lane, results in enumerate(sweep.runs):
-        for bi, res in enumerate(results):
-            path = os.path.join(chains_dir, f"chain{lane:02d}_point{bi:02d}.csv")
-            write_csv(path, ["step", "risk_acc", "risk_rep", "accepted"],
-                      zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
-            manifest.add_output(path)
+    for path in write_sweep(params["out"], sweep, grid_column):
+        manifest.add_output(path)
     runs = [res for results in sweep.runs for res in results]
     manifest.record["step_counts"] = {"total_steps": sum(int(r.steps[-1]) for r in runs)}
     manifest.record["chain_workers"] = sweep.workers
     manifest.record["proposal_scales"] = [r.proposal_scale for r in runs]
+    manifest.record["acceptance_rates"] = [r.acceptance_rate for r in runs]
     manifest.record["calibration_converged"] = [r.calibration_converged for r in runs]
     manifest.record["chain_phase_s"] = [r.phase_s for r in runs]
 

@@ -144,13 +144,15 @@ class ChainResult:
     risk_report: np.ndarray
     accepted: np.ndarray
     acceptance_rate: float
-    mean_report: float
-    stderr_report: float
-    ess: float
     proposal_scale: float
-    final_state: ChainState
+    final_state: ChainState | None  # None when read back from files, which hold no weights
     calibration_converged: bool | None  # sampling-phase rate in 0.2-0.4; None: not calibrated
     phase_s: dict  # wall seconds of "burn_in" (adaptive when calibrated) and "sample"
+
+    # the report risk's mean, batch-means standard error and effective sample size
+    mean_report = property(lambda self: float(self.risk_report.mean()))
+    stderr_report = property(lambda self: _batch_means(self.risk_report)[0])
+    ess = property(lambda self: _batch_means(self.risk_report)[1])
 
 
 @dataclass
@@ -433,14 +435,12 @@ def run_chain(
         accepted[i] = 1 if state.accepts > before else 0
     t_end = time.perf_counter()
 
-    stderr, ess = _batch_means(risk_rep)
     rate = state.accepts / state.steps_taken
     sample_rate = (state.accepts - burn_accepts) / (cfg.samples * cfg.thin)
     converged = _TARGET_BAND[0] <= sample_rate <= _TARGET_BAND[1] if calibrate else None
     return ChainResult(
         steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
-        accepted=accepted, acceptance_rate=rate, mean_report=float(risk_rep.mean()),
-        stderr_report=stderr, ess=ess, proposal_scale=cfg.proposal_scale,
+        accepted=accepted, acceptance_rate=rate, proposal_scale=cfg.proposal_scale,
         final_state=state, calibration_converged=converged,
         phase_s={"burn_in": t_sample - t_burn, "sample": t_end - t_sample},
     )

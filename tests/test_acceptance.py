@@ -44,10 +44,12 @@ from risklab import (
     hebbian_expected_risk,
     metropolis_step,
     minibatch_proposal_step,
+    read_curve_csv,
+    read_entropy_csv,
     reconstruct,
     risk_entropy,
 )
-from risklab.cli import dispatch, read_curve_csv, read_entropy_csv
+from risklab.cli import dispatch
 from risklab.datasets import dataset_from_csv
 from risklab.mcmc import BoltzmannCurve, BoltzmannPoint
 from risklab.predictors import load_weight_vector

@@ -19,6 +19,7 @@ import risklab
 import risklab.cli as cli
 from risklab.cli import dispatch
 from risklab.datasets import dataset_from_csv
+from risklab.sweeps import load_sweep
 from risklab.workers import worker_count
 
 
@@ -245,6 +246,21 @@ class TestDispatchContracts:
                      id="fit-non-numeric"),
         pytest.param(["analytic", "gibbs-annealed", "--m-grid", "10", "--entropy"],
                      "r,s\n0.9,0\nabc,-1\n0.7,-2\n", id="gibbs-non-numeric"),
+        # a non-finite cell, and values the curve types refuse, name the file too
+        pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n1,nan\n2,0.3\n",
+                     id="reconstruct-nan-risk"),
+        pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk\n0,0.5\n0,0.4\n",
+                     id="reconstruct-repeated-beta"),
+        pytest.param(["reconstruct", "entropy", "--curve"], "beta,risk,stderr\n0,0.5,0.1\n1,0.4,-0.1\n",
+                     id="reconstruct-negative-stderr"),
+        pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.1,0\n0.2,nan\n0.3,-1\n",
+                     id="fit-nan-s"),
+        pytest.param(["fit", "quadratic", "--entropy"], "r,s\n0.1,0\n0.3,-1\n0.2,-2\n0.4,-3\n",
+                     id="fit-non-monotone-r"),
+        pytest.param(["analytic", "gibbs-annealed", "--m-grid", "10", "--entropy"],
+                     "r,s\n0.1,0\n0.2,nan\n0.3,-1\n", id="gibbs-nan-s"),
+        pytest.param(["analytic", "gibbs-annealed", "--m-grid", "10", "--entropy"],
+                     "r,s\n0.1,0\n0.3,-1\n0.2,-2\n", id="gibbs-non-monotone-r"),
     ] + [
         pytest.param(command, text, id=f"{name}-{case}")
         for name, command in [
@@ -264,12 +280,13 @@ class TestDispatchContracts:
             ("fractional-label", "label,f0,f1\n0,1,2\n1.5,3,4\n"),
         ]
     ])
-    def test_malformed_input_csv_exits_one(self, tmp_path, command, text):
+    def test_malformed_input_csv_exits_one(self, tmp_path, capsys, command, text):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         out = tmp_path / "out.csv"
         assert dispatch(command + [str(bad), "--out", str(out)]) == 1
         assert not out.exists()
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestArgsFile:
@@ -561,28 +578,26 @@ class TestSamplingCommands:
         record = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         # calibration adapts during burn-in, so it adds no steps and no count of its own
         assert record["step_counts"] == {"total_steps": 2 * 2 * (50 + 40)}
-        for lane in range(2):
-            steps = [int(row[0]) for row in read_rows(tmp_path / f"curve.csv.chains/chain0{lane}_point01.csv")[1]]
-            assert steps == list(range(51, 91))
+        for results in load_sweep(out).runs:
+            assert results[1].steps.tolist() == list(range(51, 91))
 
     def test_manifest_records_calibration_outcome(self, tmp_path):
         args = ["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
                 "--p", "10", "--delta", "2", "--beta-grid", "0,5", "--chains", "2",
                 "--burn-in", "20", "--samples", "10", "--proposal-scale", "0.4", "--seed", "21"]
 
-        def manifest(extra, name):
+        def chains(extra, name):
             out = tmp_path / name
             assert dispatch(args + extra + ["--out", str(out)]) == 0
-            return json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            return load_sweep(out).runs
 
-        assert manifest([], "plain.csv")["calibration_converged"] == [None] * 4
-        record = manifest(["--calibrate"], "calibrated.csv")
-        converged, scales = record["calibration_converged"], record["proposal_scales"]
-        assert len(converged) == len(scales) == 4
-        assert all(isinstance(c, bool) for c in converged)
-        # lanes are chain-major: beta = 0 accepts every move, so its band is out of reach
-        assert converged[0] is converged[2] is False
-        assert scales[0] == scales[2] == math.pi
+        assert [[r.calibration_converged for r in lane] for lane in chains([], "plain.csv")] == [[None] * 2] * 2
+        runs = chains(["--calibrate"], "calibrated.csv")
+        assert all(isinstance(r.calibration_converged, bool) for lane in runs for r in lane)
+        # beta = 0 accepts every move, so its band is out of reach
+        for at_zero, _ in runs:
+            assert at_zero.calibration_converged is False
+            assert at_zero.proposal_scale == math.pi
 
     @pytest.mark.parametrize("flags", [
         ["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"],
@@ -603,12 +618,11 @@ class TestSamplingCommands:
         assert dispatch(["sample", "annealed", "--machine", "perceptron-exact", "--p", "10",
                          "--delta", "2", "--m-grid", "0,5", "--chains", "2", "--burn-in", "20",
                          "--samples", "10", "--calibrate", "--seed", "21", "--out", str(out)]) == 0
-        record = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
-        phases = record["chain_phase_s"]
-        assert len(phases) == len(record["proposal_scales"]) == 4
-        for phase in phases:
-            assert set(phase) == {"burn_in", "sample"}  # calibration is part of burn-in
-            assert all(t > 0 for t in phase.values())
+        runs = [r for lane in load_sweep(out).runs for r in lane]
+        assert len(runs) == 4
+        for r in runs:
+            assert set(r.phase_s) == {"burn_in", "sample"}  # calibration is part of burn-in
+            assert all(t > 0 for t in r.phase_s.values())
 
     def test_worker_chain_error_exits_two(self, tmp_path, monkeypatch):
         data_csv = tmp_path / "d.csv"
@@ -683,15 +697,12 @@ class TestSamplingCommands:
                              "--beta-grid", grid, "--chains", "2", "--burn-in", "10000",
                              "--samples", str(samples), "--thin", str(thin), "--calibrate",
                              "--seed", "1", "--out", str(out)]) == 0
-            point = grid.count(",")
-            chains = [np.loadtxt(tmp_path / f"{name}.chains/chain0{lane}_point0{point}.csv",
-                                 delimiter=",", skiprows=1) for lane in range(2)]
+            chains = [results[-1] for results in load_sweep(out).runs]  # the last point, beta = 1000
             # 20 batch means of >= 1000 steps each, longer than the chain's correlation time
-            batches = np.array([c[:, 1].reshape(20, -1).mean(axis=1) for c in chains])
+            batches = np.array([c.risk_acceptance.reshape(20, -1).mean(axis=1) for c in chains])
             mean = batches.mean()
             se = math.sqrt((batches.var(axis=1, ddof=1) / 20).sum()) / 2
-            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-            return mean, se, [c[:, 3] for c in chains], manifest["calibration_converged"][point::point + 1]
+            return mean, se, [c.accepted for c in chains], [c.calibration_converged for c in chains]
 
         warm, warm_se, _, _ = at_beta_1000("0,10,30,100,300,1000", 4000, 5, "warm.csv")
         cold, cold_se, accepted, converged = at_beta_1000("1000", 20000, 1, "cold.csv")
