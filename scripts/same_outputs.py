@@ -7,7 +7,9 @@ The invocations cover every command: the analytic and simulate commands;
 back with ``--teacher-weights``); both sweeps on all three machines at 1
 and 2 chains, with and without ``--calibrate``; ``reconstruct entropy`` on
 an exact and a sampled curve; ``fit quadratic``.  Every sweep is read back
-with ``load_sweep``, and the script exits non-zero naming a sweep it refuses.
+with ``load_sweep``, whose curve is derived from the chains, and the script
+exits non-zero naming a sweep it refuses or whose curve CSV differs in any
+cell from that derived curve.
 Every file written under OUTDIR except the manifests, whose timings change
 from run to run, is printed as ``sha256  relative/path``, sorted by path.
 
@@ -19,6 +21,7 @@ in both, e.g. under ``RISKLAB_THREADS`` 1, 2 and unset:
 Usage: python scripts/same_outputs.py OUTDIR
 """
 
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -27,6 +30,7 @@ import numpy as np
 
 from risklab import LabelledDataset, load_sweep, write_idx
 from risklab.cli import dispatch
+from risklab.datasets import read_table
 from risklab.errors import ConfigError
 
 SWEEP = ["--burn-in", 50, "--samples", 40, "--thin", 1, "--proposal-scale", 0.3]
@@ -77,9 +81,12 @@ def main(out: Path):
                     run("sample", command, "--machine", name, *machine, *grid, *SWEEP, "--chains", chains,
                         *calibrate, "--seed", 5, "--out", o(f"{tag}.csv"))
                     try:
-                        load_sweep(o(f"{tag}.csv"))
+                        loaded = load_sweep(o(f"{tag}.csv"))
                     except ConfigError as exc:
                         raise SystemExit(f"sweep {tag} refused: {exc}")
+                    derived = [list(dataclasses.astuple(p)) for p in loaded.curve.points]
+                    if read_table(o(f"{tag}.csv"))[1].tolist() != derived:
+                        raise SystemExit(f"sweep {tag}: its curve CSV differs from the curve of its chains")
 
     for curve in ("boltzmann_risk", "boltzmann-sweep_perceptron-exact_2"):
         run("reconstruct", "entropy", "--curve", o(f"{curve}.csv"), "--anchor-s0", 0,

@@ -208,7 +208,7 @@ def _build_machine(params, manifest):
 
 
 def _run_sweep(params, manifest, mode, grid_column):
-    """``sample`` commands: the sweep's files (:func:`write_sweep`) and its manifest fields."""
+    """``sample`` commands: the sweep's files and manifest fields (:func:`write_sweep`)."""
     spec, risk_fn, report_fn = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
                        samples=params["samples"], thin=params["thin"], seed=params["seed"])
@@ -222,15 +222,7 @@ def _run_sweep(params, manifest, mode, grid_column):
         calibrate=params["calibrate"],
         mode=mode,
     )
-    for path in write_sweep(params["out"], sweep, grid_column):
-        manifest.add_output(path)
-    runs = [res for results in sweep.runs for res in results]
-    manifest.record["step_counts"] = {"total_steps": sum(int(r.steps[-1]) for r in runs)}
-    manifest.record["chain_workers"] = sweep.workers
-    manifest.record["proposal_scales"] = [r.proposal_scale for r in runs]
-    manifest.record["acceptance_rates"] = [r.acceptance_rate for r in runs]
-    manifest.record["calibration_converged"] = [r.calibration_converged for r in runs]
-    manifest.record["chain_phase_s"] = [r.phase_s for r in runs]
+    write_sweep(params["out"], sweep, grid_column, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +282,7 @@ def _cmd_data_relabel(params, manifest):
     data = dataset_from_csv(params["data"])
     spec = _predictor_spec(params["kind"], data.feature_dim, params["layer_sizes"])
     if params["teacher_weights"]:
+        _refuse(params, "--teacher-weights", ("teacher_seed",))
         w_star = load_weight_vector(params["teacher_weights"], spec.weight_constraint)
     else:
         if params["teacher_seed"] is None:

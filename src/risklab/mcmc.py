@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -157,9 +158,19 @@ class ChainResult:
 
 @dataclass
 class SweepResult:
-    curve: BoltzmannCurve
+    grid: list  # the increasing beta grid, or the m grid of an annealed sweep
     runs: list  # runs[chain][beta_index] -> ChainResult
     workers: int  # processes the chains ran on, the caller included
+
+    @cached_property
+    def curve(self) -> BoltzmannCurve:
+        """Per grid point: the chains' mean report risk, pooled stderr, mean acceptance rate, summed ESS."""
+        return BoltzmannCurve(tuple(
+            BoltzmannPoint(beta=beta, risk=float(np.mean([r.mean_report for r in runs])),
+                           stderr=float(math.sqrt(sum(r.stderr_report**2 for r in runs)) / len(runs)),
+                           acceptance_rate=float(np.mean([r.acceptance_rate for r in runs])),
+                           ess=float(sum(r.ess for r in runs)))
+            for beta, runs in zip(self.grid, zip(*self.runs))))
 
 
 def propose(w: WeightVector, scale: float, rng) -> WeightVector:
@@ -488,15 +499,4 @@ def boltzmann_sweep(
         return results
 
     workers = fork_workers(n_chains)
-    lanes = forked_map(run_lane, range(n_chains), workers)
-
-    points = []
-    for bi, beta in enumerate(beta_grid):
-        runs = [lanes[lane][bi] for lane in range(n_chains)]
-        mean = float(np.mean([r.mean_report for r in runs]))
-        stderr = float(math.sqrt(sum(r.stderr_report**2 for r in runs)) / n_chains)
-        rate = float(np.mean([r.acceptance_rate for r in runs]))
-        ess = float(sum(r.ess for r in runs))
-        points.append(BoltzmannPoint(beta=beta, risk=mean, stderr=stderr,
-                                     acceptance_rate=rate, ess=ess))
-    return SweepResult(curve=BoltzmannCurve(tuple(points)), runs=lanes, workers=workers)
+    return SweepResult(grid=beta_grid, runs=forked_map(run_lane, range(n_chains), workers), workers=workers)

@@ -1,12 +1,12 @@
-"""A sweep's files, written and read back as one value, and the curve and entropy CSV readers.
+"""A sweep's record, written and read back as one value, and the curve and entropy CSV readers.
 
 A sweep with ``--out`` path ``out`` writes its curve to ``out`` (columns
 ``<grid>,risk,stderr,acceptance_rate,ess``, the grid ``beta``, or ``m`` when
 annealed) and lane LL's chain at grid point BB to
 ``out.chains/chainLL_pointBB.csv`` (columns ``step,risk_acc,risk_rep,accepted``).
 Its manifest fingerprints every file and holds the rest of each chain's
-``ChainResult`` in the lane-major lists ``proposal_scales``,
-``acceptance_rates``, ``calibration_converged`` and ``chain_phase_s``.
+``ChainResult`` as ``chains[lane][point]``, keyed by ``_RECORDED``.  The curve
+is derived from the chains, so ``load_sweep`` checks its file but never parses it.
 """
 
 import glob
@@ -24,6 +24,8 @@ from .reconstruction import EntropyCurve
 __all__ = ["file_fingerprint", "write_sweep", "load_sweep", "read_curve_csv", "read_entropy_csv"]
 
 _CURVE_COLUMNS = ("risk", "stderr", "acceptance_rate", "ess")
+_CHAIN_COLUMNS = ("step", "risk_acc", "risk_rep", "accepted")
+_RECORDED = ("acceptance_rate", "proposal_scale", "calibration_converged", "phase_s")
 
 
 def file_fingerprint(path) -> dict:
@@ -43,33 +45,38 @@ def _chain_files(out) -> list:
     return glob.glob(os.path.join(glob.escape(f"{out}.chains"), "chain*_point*.csv"))
 
 
-def write_sweep(out, sweep: SweepResult, grid_column) -> list:
-    """Write the curve to ``out`` and each chain to ``out.chains/``; return the chain paths, lane-major."""
+def write_sweep(out, sweep: SweepResult, grid_column, manifest):
+    """Write the curve to ``out``, each chain to ``out.chains/`` and the rest of the sweep to ``manifest``."""
     write_csv(out, [grid_column, *_CURVE_COLUMNS],
               [(p.beta, p.risk, p.stderr, p.acceptance_rate, p.ess) for p in sweep.curve.points])
     os.makedirs(f"{out}.chains", exist_ok=True)
     for stale in _chain_files(out):
         os.remove(stale)  # an earlier run's chains, which the new manifest would not list
-    paths = []
     for lane, results in enumerate(sweep.runs):
         for point, res in enumerate(results):
-            paths.append(_chain_path(out, lane, point))
-            write_csv(paths[-1], ["step", "risk_acc", "risk_rep", "accepted"],
+            path = _chain_path(out, lane, point)
+            write_csv(path, _CHAIN_COLUMNS,
                       zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
-    return paths
+            manifest.add_output(path)
+    total = sum(int(r.steps[-1]) for results in sweep.runs for r in results)
+    manifest.record["step_counts"] = {"total_steps": total}
+    manifest.record["chain_workers"] = sweep.workers
+    manifest.record["chains"] = [[{key: getattr(r, key) for key in _RECORDED} for r in lane]
+                                 for lane in sweep.runs]
 
 
 def load_sweep(out) -> SweepResult:
     """The ``SweepResult`` a sweep wrote to ``out``, but with no ``final_state``: weights are not written.
 
     A file the manifest lists that is missing or whose SHA-256 differs from the recorded one, or a
-    chain CSV it does not list, raises ConfigError naming the file.
+    chain CSV it does not list, raises ConfigError naming the file; a manifest with no ``chains``, or
+    one that is not lanes × grid points of ``_RECORDED`` objects, raises one naming the manifest.
     """
     out, manifest = os.fspath(out), f"{out}.manifest.json"
     with open(manifest) as fh:
         record = json.load(fh)
-    if "proposal_scales" not in record:
-        raise ConfigError(f"{manifest} is not the manifest of a sweep")
+    if "chains" not in record:
+        raise ConfigError(f"{manifest} is not the manifest of a sweep, or predates the 'chains' record")
     params = record["parameters"]  # the recorded paths start with --out as it was given
     listed = {out + e["path"][len(params["out"]):]: e["sha256"] for e in record["outputs"]}
 
@@ -84,23 +91,28 @@ def load_sweep(out) -> SweepResult:
 
     if unlisted := sorted(set(_chain_files(out)) - set(listed)):
         raise ConfigError(f"{unlisted[0]}: not listed in {manifest}")
-    grid = "m" if "m_grid" in params else "beta"
-    curve = _read_curve(verified(out), grid, exempt=grid)
-    n, chains = len(curve.points), []
-    lists = zip(*(record[key] for key in ("acceptance_rates", "proposal_scales", "calibration_converged",
-                                          "chain_phase_s")))
-    for i, (rate, scale, converged, phase_s) in enumerate(lists):  # lane-major
-        table = read_table(verified(_chain_path(out, i // n, i % n)))[1]
+    verified(out)  # the curve is checked, not parsed: SweepResult.curve derives it from the chains
+    grid = [float(g) for g in params["m_grid" if "m_grid" in params else "beta_grid"]]
+    chains = record["chains"]
+    if len(chains) != params["chains"] or any(
+            len(lane) != len(grid) or any(set(c) != set(_RECORDED) for c in lane) for lane in chains):
+        raise ConfigError(f"{manifest}: 'chains' is not {params['chains']} lanes of {len(grid)} records")
+
+    def chain(lane, point, entry):
+        table = read_table(verified(_chain_path(out, lane, point)))[1]
         steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(table.T)
-        chains.append(ChainResult(steps.astype(np.int64), risk_acc, risk_rep, accepted.astype(np.int64),
-                                  rate, scale, None, converged, phase_s))
-    return SweepResult(curve, [chains[i:i + n] for i in range(0, len(chains), n)], record["chain_workers"])
+        return ChainResult(steps.astype(np.int64), risk_acc, risk_rep, accepted.astype(np.int64),
+                           final_state=None, **entry)
+
+    runs = [[chain(lane, point, entry) for point, entry in enumerate(entries)]
+            for lane, entries in enumerate(chains)]
+    return SweepResult(grid, runs, record["chain_workers"])
 
 
-def _finite(path, header, table, exempt=None):
-    """Refuse a non-finite cell in any column but ``exempt``, naming the file and the column."""
+def _finite(path, header, table):
+    """Refuse a non-finite cell, naming the file and the column."""
     for name, column in zip(header, table.T):
-        if name != exempt and not np.isfinite(column).all():
+        if not np.isfinite(column).all():
             raise ConfigError(f"{path}: column {name!r} must be finite, "
                               f"got {column[~np.isfinite(column)][0]}")
 
@@ -113,21 +125,15 @@ def _valid(path, make, *args):
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _read_curve(path, grid_column, exempt=None) -> BoltzmannCurve:
-    """A curve CSV with ``grid_column`` and ``risk`` columns, finite but for ``exempt``; absent ones read 0."""
-    header, table = read_table(path)
-    if grid_column not in header or "risk" not in header:
-        raise ConfigError(f"{path}: curve CSV needs '{grid_column}' and 'risk' columns, got {header}")
-    _finite(path, header, table, exempt)
-    columns = {name: table[:, header.index(name)] for name in header}
-    rows = np.column_stack([columns.get(name, np.zeros(len(table)))
-                            for name in (grid_column, *_CURVE_COLUMNS)])
-    return _valid(path, BoltzmannCurve, tuple(BoltzmannPoint(*row) for row in rows.tolist()))
-
-
 def read_curve_csv(path) -> BoltzmannCurve:
     """A curve CSV ``beta,risk[,stderr,acceptance_rate,ess]`` of finite cells, β strictly increasing."""
-    return _read_curve(path, "beta")
+    header, table = read_table(path)
+    if "beta" not in header or "risk" not in header:
+        raise ConfigError(f"{path}: curve CSV needs 'beta' and 'risk' columns, got {header}")
+    _finite(path, header, table)
+    columns = {name: table[:, header.index(name)] for name in header}
+    rows = np.column_stack([columns.get(name, np.zeros(len(table))) for name in ("beta", *_CURVE_COLUMNS)])
+    return _valid(path, BoltzmannCurve, tuple(BoltzmannPoint(*row) for row in rows.tolist()))
 
 
 def read_entropy_csv(path) -> EntropyCurve:

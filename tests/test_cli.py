@@ -164,6 +164,8 @@ class TestDispatchContracts:
           "--seed", "1"], "needs --layer-sizes"),
         (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear"],
          "need --teacher-weights or --teacher-seed"),
+        (["data", "relabel", "--data", "{data}", "--kind", "sphere-linear", "--teacher-weights", "{teacher}",
+          "--teacher-seed", "1"], "--teacher-weights takes no --teacher-seed"),
         (["analytic", "gardner"], "--alpha-grid"),
         (["sample", "boltzmann-sweep", "--machine", "sphere-linear", "--data", "{three}",
           "--beta-grid", "0,1", "--seed", "1"], "label 2 is out of reach of sphere-linear, "
@@ -171,15 +173,18 @@ class TestDispatchContracts:
         (["sample", "annealed", "--machine", "mlp", "--data", "{three}", "--layer-sizes", "4,2",
           "--m-grid", "0,1", "--seed", "1"], "label 2 is out of reach of mlp, which predicts 2 classes"),
     ], ids=["unknown-machine", "exact-without-p", "exact-without-delta", "linear-without-data",
-            "mlp-without-layer-sizes", "relabel-without-teacher", "gardner-without-grid",
-            "linear-label-out-of-reach", "mlp-label-out-of-reach"])
+            "mlp-without-layer-sizes", "relabel-without-teacher", "relabel-with-two-teachers",
+            "gardner-without-grid", "linear-label-out-of-reach", "mlp-label-out-of-reach"])
     def test_handler_usage_error_exits_one(self, tmp_path, capsys, command, message):
         data_csv = tmp_path / "d.csv"
         data_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n")
         three_csv = tmp_path / "three.csv"
         three_csv.write_text("label,f0,f1\n0,1,2\n1,3,4\n2,5,6\n")
+        teacher = tmp_path / "t.bin"
+        teacher.write_bytes(struct.pack("<Q", 2) + struct.pack("<2d", 1.0, 0.0))
         out = tmp_path / "out.csv"
-        argv = [a.format(data=data_csv, three=three_csv) for a in command] + ["--out", str(out)]
+        files = {"data": data_csv, "three": three_csv, "teacher": teacher}
+        argv = [a.format(**files) for a in command] + ["--out", str(out)]
         assert dispatch(argv) == 1
         assert message in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "out.csv.chains").exists()
@@ -567,7 +572,7 @@ class TestSamplingCommands:
         assert run(["--split", "0.5"], "half.csv") == (0.5, default_curve)
         assert run(["--split", "0.75"], "wide.csv")[0] == 0.75
 
-    def test_manifest_counts_calibration_probes(self, tmp_path):
+    def test_manifest_counts_every_chain_step(self, tmp_path):
         out = tmp_path / "curve.csv"
         code = dispatch(["sample", "boltzmann-sweep", "--machine", "perceptron-exact",
                          "--p", "10", "--delta", "2", "--beta-grid", "0,5",
