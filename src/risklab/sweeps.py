@@ -2,14 +2,15 @@
 
 A sweep with ``--out`` path ``out`` writes its curve to ``out`` (columns
 ``<grid>,risk,stderr,acceptance_rate,ess``, the grid ``beta``, or ``m`` when
-annealed) and lane LL's chain at grid point BB to
-``out.chains/chainLL_pointBB.csv`` (columns ``step,risk_acc,risk_rep,accepted``).
-Its manifest fingerprints every file and holds the rest of each chain's
-``ChainResult`` as ``chains[lane][point]``, keyed by ``_RECORDED``.  The curve
-is derived from the chains, so ``load_sweep`` checks its file but never parses it.
+annealed) and every chain's records to one table, ``out.chains.csv`` (columns
+``chain,<grid>,step,risk_acc,risk_rep,accepted``), lane by lane and, within a
+lane, grid point by grid point.  Its manifest fingerprints both files and holds
+the rest of each chain's ``ChainResult`` as ``chains[lane][point]``, keyed by
+``_RECORDED``.  The curve is derived from the chains, so ``load_sweep`` checks
+that the curve CSV holds exactly that derived curve.
 """
 
-import glob
+import dataclasses
 import hashlib
 import json
 import os
@@ -37,27 +38,15 @@ def file_fingerprint(path) -> dict:
     return {"path": str(path), "sha256": digest.hexdigest(), "bytes": os.path.getsize(path)}
 
 
-def _chain_path(out, lane, point) -> str:
-    return os.path.join(f"{out}.chains", f"chain{lane:02d}_point{point:02d}.csv")
-
-
-def _chain_files(out) -> list:
-    return glob.glob(os.path.join(glob.escape(f"{out}.chains"), "chain*_point*.csv"))
-
-
 def write_sweep(out, sweep: SweepResult, grid_column, manifest):
-    """Write the curve to ``out``, each chain to ``out.chains/`` and the rest of the sweep to ``manifest``."""
+    """Write the curve to ``out``, every chain to ``out.chains.csv`` and the rest of the sweep to ``manifest``."""
     write_csv(out, [grid_column, *_CURVE_COLUMNS],
               [(p.beta, p.risk, p.stderr, p.acceptance_rate, p.ess) for p in sweep.curve.points])
-    os.makedirs(f"{out}.chains", exist_ok=True)
-    for stale in _chain_files(out):
-        os.remove(stale)  # an earlier run's chains, which the new manifest would not list
-    for lane, results in enumerate(sweep.runs):
-        for point, res in enumerate(results):
-            path = _chain_path(out, lane, point)
-            write_csv(path, _CHAIN_COLUMNS,
-                      zip(res.steps, res.risk_acceptance, res.risk_report, res.accepted))
-            manifest.add_output(path)
+    write_csv(f"{out}.chains.csv", ["chain", grid_column, *_CHAIN_COLUMNS],
+              ((lane, value, *row) for lane, results in enumerate(sweep.runs)
+               for value, r in zip(sweep.grid, results)
+               for row in zip(r.steps, r.risk_acceptance, r.risk_report, r.accepted)))
+    manifest.add_output(f"{out}.chains.csv")
     total = sum(int(r.steps[-1]) for results in sweep.runs for r in results)
     manifest.record["step_counts"] = {"total_steps": total}
     manifest.record["chain_workers"] = sweep.workers
@@ -68,9 +57,11 @@ def write_sweep(out, sweep: SweepResult, grid_column, manifest):
 def load_sweep(out) -> SweepResult:
     """The ``SweepResult`` a sweep wrote to ``out``, but with no ``final_state``: weights are not written.
 
-    A file the manifest lists that is missing or whose SHA-256 differs from the recorded one, or a
-    chain CSV it does not list, raises ConfigError naming the file; a manifest with no ``chains``, or
-    one that is not lanes × grid points of ``_RECORDED`` objects, raises one naming the manifest.
+    A file the manifest lists that is missing or whose SHA-256 differs from the recorded one, an
+    unlisted chain table, or a table whose rows are not the manifest's lanes × grid points ×
+    ``samples``, raises ConfigError naming the file; a manifest with no ``chains``, one that is not
+    lanes × grid points of ``_RECORDED`` objects, or one whose chains do not give the curve CSV,
+    raises one naming the manifest.
     """
     out, manifest = os.fspath(out), f"{out}.manifest.json"
     with open(manifest) as fh:
@@ -89,24 +80,31 @@ def load_sweep(out) -> SweepResult:
             raise ConfigError(f"{path}: SHA-256 differs from the one in {manifest}")
         return path
 
-    if unlisted := sorted(set(_chain_files(out)) - set(listed)):
-        raise ConfigError(f"{unlisted[0]}: not listed in {manifest}")
-    verified(out)  # the curve is checked, not parsed: SweepResult.curve derives it from the chains
-    grid = [float(g) for g in params["m_grid" if "m_grid" in params else "beta_grid"]]
-    chains = record["chains"]
+    grid_column = "m" if "m_grid" in params else "beta"
+    grid = [float(g) for g in params[f"{grid_column}_grid"]]
+    chains, samples = record["chains"], params["samples"]
     if len(chains) != params["chains"] or any(
             len(lane) != len(grid) or any(set(c) != set(_RECORDED) for c in lane) for lane in chains):
         raise ConfigError(f"{manifest}: 'chains' is not {params['chains']} lanes of {len(grid)} records")
+    path = verified(f"{out}.chains.csv")
+    header, table = read_table(path)
+    keys = [(lane, g) for lane in range(len(chains)) for g in grid]
+    if header != ["chain", grid_column, *_CHAIN_COLUMNS] or not np.array_equal(
+            table[:, :2], np.repeat(keys, samples, axis=0)):
+        raise ConfigError(f"{path}: rows are not {len(chains)} chains × {len(grid)} "
+                          f"{grid_column} values × {samples} samples of {', '.join(_CHAIN_COLUMNS)}")
 
-    def chain(lane, point, entry):
-        table = read_table(verified(_chain_path(out, lane, point)))[1]
-        steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(table.T)
+    def chain(block, entry):
+        steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(block.T)
         return ChainResult(steps.astype(np.int64), risk_acc, risk_rep, accepted.astype(np.int64),
                            final_state=None, **entry)
 
-    runs = [[chain(lane, point, entry) for point, entry in enumerate(entries)]
-            for lane, entries in enumerate(chains)]
-    return SweepResult(grid, runs, record["chain_workers"])
+    blocks = table[:, 2:].reshape(len(chains), len(grid), samples, len(_CHAIN_COLUMNS))
+    sweep = SweepResult(grid, [[chain(block, entry) for block, entry in zip(lane_blocks, entries)]
+                               for lane_blocks, entries in zip(blocks, chains)], record["chain_workers"])
+    if not np.array_equal(read_table(verified(out))[1], [dataclasses.astuple(p) for p in sweep.curve.points]):
+        raise ConfigError(f"{manifest}: 'chains' does not give the curve in {out}")
+    return sweep
 
 
 def _finite(path, header, table):

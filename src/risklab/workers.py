@@ -68,29 +68,23 @@ def _died(proc):
 def _gather(procs, conns, results):
     """Fill ``results`` with every forked worker's results, received in the calling thread.
 
-    Waits on the result pipes and the worker sentinels together.  A worker
-    that exits without a reply died without raising (a signal, the OOM
-    killer, ``os._exit``); that raises RisklabError instead of waiting for
-    results that will never come.
+    Waits on the result pipes alone: each worker holds the only write end of
+    its pipe, so a worker that exits without a reply died without raising
+    (a signal, the OOM killer, ``os._exit``) and reads as EOF.  That raises
+    RisklabError instead of waiting for results that will never come.
     """
     live = dict(zip(conns, procs))
     while live:
-        ready = wait([*live, *(proc.sentinel for proc in live.values())])
-        for conn, proc in list(live.items()):
-            if conn.poll():  # a reply, or the EOF of a worker that died
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    ok, value = False, _died(proc)
-            elif proc.sentinel in ready:
+        for conn in wait(list(live)):
+            proc = live.pop(conn)
+            try:
+                ok, value = conn.recv()
+            except EOFError:
                 ok, value = False, _died(proc)
-            else:
-                continue
             if not ok:
                 raise value
             for index, result in value:
                 results[index] = result
-            del live[conn]
 
 
 def forked_map(task_fn, items, workers: int) -> list:

@@ -67,9 +67,9 @@ def run_cli(base: Path, args, outputs):
     produced = []
     for out in outputs:
         produced.append(Path(out))
-        chains = Path(str(out) + ".chains")
-        if chains.is_dir():
-            produced.extend(sorted(chains.glob("*.csv")))
+        chains = Path(f"{out}.chains.csv")
+        if chains.exists():
+            produced.append(chains)
     _RECORDED.append({"base": base, "args": list(args), "outputs": produced})
     return produced
 

@@ -11,7 +11,7 @@ from risklab.cli import dispatch
 from risklab.datasets import read_table
 from risklab.errors import ConfigError
 from risklab.mcmc import ChainResult
-from risklab.sweeps import load_sweep, read_curve_csv
+from risklab.sweeps import file_fingerprint, load_sweep, read_curve_csv
 
 GRIDS = {"boltzmann-sweep": ["--beta-grid", "0,3,10"], "annealed": ["--m-grid", "0,5,20"]}
 
@@ -92,16 +92,11 @@ def flip_byte(path):
     path.write_bytes(bytes(data))
 
 
-def copy_first_chain(path):
-    path.write_bytes((path.parent / "chain00_point00.csv").read_bytes())
-
-
 @pytest.mark.parametrize("damage, name", [
-    (flip_byte, "curve.csv.chains/chain01_point02.csv"),
+    (flip_byte, "curve.csv.chains.csv"),
     (flip_byte, "curve.csv"),
-    (copy_first_chain, "curve.csv.chains/chain05_point00.csv"),
-    (os.remove, "curve.csv.chains/chain00_point01.csv"),
-], ids=["flipped-chain-byte", "edited-curve", "extra-chain", "deleted-chain"])
+    (os.remove, "curve.csv.chains.csv"),
+], ids=["flipped-chain-byte", "edited-curve", "deleted-chain"])
 def test_file_the_manifest_does_not_vouch_for_is_refused(tmp_path, monkeypatch, damage, name):
     out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
     damage(tmp_path / name)
@@ -151,4 +146,47 @@ def test_chains_record_of_another_shape_is_refused(tmp_path, monkeypatch, edit):
     out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
     manifest = rewrite_manifest(out, lambda record: record.update(chains=edit(record["chains"])))
     with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains'")):
+        load_sweep(out)
+
+
+def test_manifest_acceptance_rate_that_is_not_the_curve_is_refused(tmp_path, monkeypatch):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
+    manifest = rewrite_manifest(out, lambda record: record["chains"][1][0].update(acceptance_rate=0.5))
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains' does not give the curve")):
+        load_sweep(out)
+
+
+def to_chain_files(record):
+    """The outputs as manifests listed them before the table: one CSV per lane and grid point."""
+    record["outputs"] = [e for e in record["outputs"] if not e["path"].endswith(".chains.csv")] + [
+        {"path": f"{record['parameters']['out']}.chains/chain{lane:02d}_point{point:02d}.csv",
+         "sha256": "0" * 64, "bytes": 0}
+        for lane, entries in enumerate(record["chains"]) for point in range(len(entries))]
+
+
+def test_manifest_of_chain_files_is_refused(tmp_path, monkeypatch):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
+    rewrite_manifest(out, to_chain_files)
+    with pytest.raises(ConfigError, match=re.escape(f"{out}.chains.csv: not listed in")):
+        load_sweep(out)
+
+
+def lane_one_first(out):
+    """Rewrite the table with lane 1's rows before lane 0's, and record its new SHA-256."""
+    table = out.parent / f"{out.name}.chains.csv"
+    header, *rows = table.read_text().splitlines(keepends=True)
+    table.write_text("".join([header, *sorted(rows, key=lambda row: row.startswith("0,"))]))
+    rewrite_manifest(out, lambda record: record.update(outputs=[
+        file_fingerprint(table) if e["path"] == str(table) else e for e in record["outputs"]]))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda out: rewrite_manifest(out, lambda record: record["parameters"].update(beta_grid=[0.0, 3.0, 11.0])),
+    lambda out: rewrite_manifest(out, lambda record: record["parameters"].update(samples=19)),
+    lane_one_first,
+], ids=["grid-edited", "samples-edited", "lanes-reordered"])
+def test_table_that_is_not_the_manifests_blocks_is_refused(tmp_path, monkeypatch, edit):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
+    edit(out)
+    with pytest.raises(ConfigError, match=re.escape(f"{out}.chains.csv: rows are not 2 chains")):
         load_sweep(out)

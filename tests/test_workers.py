@@ -42,6 +42,23 @@ class TestForkedMap:
         assert time.perf_counter() - t0 < 5
         assert multiprocessing.active_children() == []
 
+    def test_dead_worker_raises_while_another_still_works(self, fail_if_hung):
+        parent = os.getpid()
+
+        def task(i):
+            if os.getpid() != parent:
+                if i == 1:
+                    time.sleep(20)
+                else:
+                    os._exit(3)
+            return i
+
+        t0 = time.perf_counter()
+        with pytest.raises(RisklabError, match="exited with code 3"):
+            forked_map(task, range(3), 3)
+        assert time.perf_counter() - t0 < 5
+        assert multiprocessing.active_children() == []
+
 
 class TestWorkerCount:
     def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
