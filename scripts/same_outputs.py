@@ -5,8 +5,11 @@ The invocations cover every command: the analytic and simulate commands;
 ``data gen-gaussian``, ``load-idx`` on a ``write_idx`` pair and ``relabel``
 (sphere-linear and mlp teachers with ``--save-teacher``, and a teacher read
 back with ``--teacher-weights``); both sweeps on all three machines at 1
-and 2 chains, with and without ``--calibrate``; ``reconstruct entropy`` on
-an exact and a sampled curve; ``fit quadratic``.  Every sweep is read back
+and 2 chains, with and without ``--calibrate``, at thin 1, and a calibrated
+2-chain sphere-linear sweep of each at thin 3, whose chain tables count up
+to 3 accepted moves per record and whose curves' ``acceptance_rate`` is the
+sampling-phase rate over blocks of 3 steps; ``reconstruct entropy`` on an
+exact and a sampled curve; ``fit quadratic``.  Every sweep is read back
 with ``load_sweep``, which refuses a sweep whose curve CSV differs in any
 cell from the curve derived from its chain table, and the script exits
 non-zero naming a sweep it refuses.
@@ -42,6 +45,15 @@ def run(*args):
         raise SystemExit(f"exit {code}: {' '.join(args)}")
 
 
+def sweep(out: Path, tag, *args):
+    """Run ``sample *args`` to OUTDIR/tag.csv and read it back with ``load_sweep``."""
+    run("sample", *args, "--seed", 5, "--out", out / f"{tag}.csv")
+    try:
+        load_sweep(out / f"{tag}.csv")
+    except ConfigError as exc:
+        raise SystemExit(f"sweep {tag} refused: {exc}")
+
+
 def main(out: Path):
     out.mkdir(parents=True, exist_ok=True)
     o = out.joinpath
@@ -75,13 +87,11 @@ def main(out: Path):
         for command, grid in GRIDS.items():
             for chains in (1, 2):
                 for calibrate in ([], ["--calibrate"]):
-                    tag = f"{command}_{name}_{chains}{'_cal' if calibrate else ''}"
-                    run("sample", command, "--machine", name, *machine, *grid, *SWEEP, "--chains", chains,
-                        *calibrate, "--seed", 5, "--out", o(f"{tag}.csv"))
-                    try:
-                        load_sweep(o(f"{tag}.csv"))
-                    except ConfigError as exc:
-                        raise SystemExit(f"sweep {tag} refused: {exc}")
+                    sweep(out, f"{command}_{name}_{chains}{'_cal' if calibrate else ''}",
+                          command, "--machine", name, *machine, *grid, *SWEEP, "--chains", chains, *calibrate)
+    for command, grid in GRIDS.items():
+        sweep(out, f"{command}_sphere-linear_2_cal_thin3", command, "--machine", "sphere-linear",
+              *machines["sphere-linear"], *grid, *SWEEP, "--thin", 3, "--chains", 2, "--calibrate")
 
     for curve in ("boltzmann_risk", "boltzmann-sweep_perceptron-exact_2"):
         run("reconstruct", "entropy", "--curve", o(f"{curve}.csv"), "--anchor-s0", 0,

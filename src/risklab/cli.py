@@ -211,7 +211,8 @@ def _run_sweep(params, manifest, mode, grid_column):
     """``sample`` commands: the sweep's files and manifest fields (:func:`write_sweep`)."""
     spec, risk_fn, report_fn = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
-                       samples=params["samples"], thin=params["thin"], seed=params["seed"])
+                       samples=params["samples"], thin=params["thin"], seed=params["seed"],
+                       calibrate=params["calibrate"])
     sweep = boltzmann_sweep(
         params[f"{grid_column}_grid"],
         base,
@@ -219,7 +220,6 @@ def _run_sweep(params, manifest, mode, grid_column):
         risk_fn,
         report_risk_fn=report_fn,
         n_chains=params["chains"],
-        calibrate=params["calibrate"],
         mode=mode,
     )
     write_sweep(params["out"], sweep, grid_column, manifest)

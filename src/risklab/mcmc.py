@@ -13,7 +13,8 @@ A chain given no start walks the unit sphere, whatever the machine's weight
 constraint: an unbounded space has no flat reference measure, so a β = 0
 chain would diffuse instead of equilibrating.  That is also why a
 calibrated scale stops at ``MAX_SCALE`` = π.  It adapts during burn-in
-only, so the recorded samples come from a Metropolis chain's fixed kernel.
+only, so the recorded samples come from a Metropolis chain's fixed kernel,
+and a ``ChainResult`` holds that kernel's config and derives its rates.
 
 Determinism: every chain derives its own stream from the master seed via a
 fixed (chain, beta-index) path, so results are bit-identical whether chains
@@ -67,7 +68,8 @@ class ChainConfig:
     ``beta`` is the inverse temperature; chains run in annealed mode read it
     as the whole sample count m instead.  ``acceptance_data`` is the dataset
     behind the acceptance risk; ``minibatch_proposal_step`` takes its size
-    when not given ``n_examples``.  The risk callables are built by the
+    when not given ``n_examples``.  With ``calibrate`` the burn-in adapts
+    the proposal scale (``_burn_in``).  The risk callables are built by the
     caller.
     """
 
@@ -78,6 +80,7 @@ class ChainConfig:
     thin: int
     seed: int
     acceptance_data: object = None
+    calibrate: bool = False
 
     def __post_init__(self):
         if not self.beta >= 0:  # NaN fails every comparison
@@ -138,19 +141,22 @@ class BoltzmannCurve:
 
 @dataclass
 class ChainResult:
-    """Recorded samples and diagnostics of a single chain at one beta."""
+    """A chain at one beta: the config its samples were drawn with (a calibrated chain's frozen
+    scale included) and its records, ``accepted[i]`` counting the moves of record i's thin block."""
 
-    steps: np.ndarray
+    config: ChainConfig
     risk_acceptance: np.ndarray
     risk_report: np.ndarray
     accepted: np.ndarray
-    acceptance_rate: float
-    proposal_scale: float
     final_state: ChainState | None  # None when read back from files, which hold no weights
-    calibration_converged: bool | None  # sampling-phase rate in 0.2-0.4; None: not calibrated
     phase_s: dict  # wall seconds of "burn_in" (adaptive when calibrated) and "sample"
 
-    # the report risk's mean, batch-means standard error and effective sample size
+    # derived: each record's step, the sampling-phase acceptance rate, whether it is in the band (None
+    # unless calibrated), and the report risk's mean, batch-means standard error and effective sample size
+    steps = property(lambda self: self.config.burn_in + self.config.thin * np.arange(1, self.config.samples + 1))
+    acceptance_rate = property(lambda self: float(self.accepted.sum() / (self.config.samples * self.config.thin)))
+    calibration_converged = property(lambda self: (_TARGET_BAND[0] <= self.acceptance_rate <= _TARGET_BAND[1])
+                                     if self.config.calibrate else None)
     mean_report = property(lambda self: float(self.risk_report.mean()))
     stderr_report = property(lambda self: _batch_means(self.risk_report)[0])
     ess = property(lambda self: _batch_means(self.risk_report)[1])
@@ -158,9 +164,9 @@ class ChainResult:
 
 @dataclass
 class SweepResult:
-    grid: list  # the increasing beta grid, or the m grid of an annealed sweep
     runs: list  # runs[chain][beta_index] -> ChainResult
     workers: int  # processes the chains ran on, the caller included
+    grid = property(lambda self: [r.config.beta for r in self.runs[0]])  # lane 0's betas, or annealed m
 
     @cached_property
     def curve(self) -> BoltzmannCurve:
@@ -344,17 +350,17 @@ _TARGET_BAND = (0.2, 0.4)
 _WINDOW = 100
 
 
-def _burn_in(state, config, advance, calibrate) -> ChainConfig:
+def _burn_in(state, config, advance) -> ChainConfig:
     """Run ``config.burn_in`` steps; return the config to sample with.
 
-    With ``calibrate`` the burn-in runs in 100-step windows (the last may be
-    shorter), after each of which the scale shrinks ×0.7 if the window's
-    rate fell below 0.2 or grows ×1.4, never past ``MAX_SCALE``, if it rose
-    above 0.4.  A flat target (β or m = 0, where every move is accepted)
-    burns in at ``MAX_SCALE`` without adapting.
+    With ``config.calibrate`` the burn-in runs in 100-step windows (the last
+    may be shorter), after each of which the scale shrinks ×0.7 if the
+    window's rate fell below 0.2 or grows ×1.4, never past ``MAX_SCALE``, if
+    it rose above 0.4.  A flat target (β or m = 0, where every move is
+    accepted) burns in at ``MAX_SCALE`` without adapting.
     """
-    if not calibrate or config.beta == 0:
-        cfg = replace(config, proposal_scale=MAX_SCALE) if calibrate else config
+    if not config.calibrate or config.beta == 0:
+        cfg = replace(config, proposal_scale=MAX_SCALE) if config.calibrate else config
         advance(cfg, cfg.burn_in)
         return cfg
     low, high = _TARGET_BAND
@@ -393,7 +399,6 @@ def run_chain(
     report_risk_fn=None,
     mode: str = "boltzmann",
     initial: WeightVector | None = None,
-    calibrate: bool = False,
     seed_path: tuple = (),
 ) -> ChainResult:
     """Run one chain: burn-in, then ``samples`` records spaced ``thin`` steps apart.
@@ -403,9 +408,6 @@ def run_chain(
     move reuses the previous record's value.  In annealed mode the
     config's beta field is read as the sample count m.  Without ``initial``
     the chain starts from ``random_weights`` moved onto the unit sphere.
-    With ``calibrate`` the burn-in adapts the proposal scale (``_burn_in``),
-    and the chain counts as converged when its sampling-phase acceptance
-    rate at the frozen scale lies in the 0.2–0.4 band.
     """
     rng = stream(config.seed, *seed_path)
     step, lead = _chain_step(mode, config.beta)
@@ -424,11 +426,9 @@ def run_chain(
             step(*args)
 
     t_burn = time.perf_counter()
-    cfg = _burn_in(state, config, advance, calibrate)
-    burn_accepts = state.accepts
+    cfg = _burn_in(state, config, advance)
 
     t_sample = time.perf_counter()
-    steps = np.empty(cfg.samples, dtype=np.int64)
     risk_acc = np.empty(cfg.samples)
     risk_rep = np.empty(cfg.samples)
     accepted = np.empty(cfg.samples, dtype=np.int64)
@@ -436,25 +436,15 @@ def run_chain(
     for i in range(cfg.samples):
         before = state.accepts
         advance(cfg, cfg.thin)
-        steps[i] = state.steps_taken
         risk_acc[i] = state.current_acceptance_risk
         if report_risk_fn is None:
             report = state.current_acceptance_risk
         elif state.w is not reported_w:  # an accepted move always makes a new WeightVector
             reported_w, report = state.w, report_risk_fn(state.w)
         risk_rep[i] = report
-        accepted[i] = 1 if state.accepts > before else 0
-    t_end = time.perf_counter()
-
-    rate = state.accepts / state.steps_taken
-    sample_rate = (state.accepts - burn_accepts) / (cfg.samples * cfg.thin)
-    converged = _TARGET_BAND[0] <= sample_rate <= _TARGET_BAND[1] if calibrate else None
-    return ChainResult(
-        steps=steps, risk_acceptance=risk_acc, risk_report=risk_rep,
-        accepted=accepted, acceptance_rate=rate, proposal_scale=cfg.proposal_scale,
-        final_state=state, calibration_converged=converged,
-        phase_s={"burn_in": t_sample - t_burn, "sample": t_end - t_sample},
-    )
+        accepted[i] = state.accepts - before
+    return ChainResult(cfg, risk_acc, risk_rep, accepted, state,
+                       {"burn_in": t_sample - t_burn, "sample": time.perf_counter() - t_sample})
 
 
 def boltzmann_sweep(
@@ -465,7 +455,6 @@ def boltzmann_sweep(
     report_risk_fn=None,
     n_chains: int = 1,
     warm_start: bool = True,
-    calibrate: bool = False,
     mode: str = "boltzmann",
 ) -> SweepResult:
     """One or more chains per beta, warm-started along the increasing grid.
@@ -492,11 +481,11 @@ def boltzmann_sweep(
         results, warm = [], None
         for bi, cfg in enumerate(configs):
             res = run_chain(cfg, spec, risk_fn, report_risk_fn=report_risk_fn, mode=mode,
-                            initial=warm, calibrate=calibrate, seed_path=(lane, bi))
+                            initial=warm, seed_path=(lane, bi))
             results.append(res)
             if warm_start:
                 warm = res.final_state.w
         return results
 
     workers = fork_workers(n_chains)
-    return SweepResult(grid=beta_grid, runs=forked_map(run_lane, range(n_chains), workers), workers=workers)
+    return SweepResult(runs=forked_map(run_lane, range(n_chains), workers), workers=workers)

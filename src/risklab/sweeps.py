@@ -4,10 +4,11 @@ A sweep with ``--out`` path ``out`` writes its curve to ``out`` (columns
 ``<grid>,risk,stderr,acceptance_rate,ess``, the grid ``beta``, or ``m`` when
 annealed) and every chain's records to one table, ``out.chains.csv`` (columns
 ``chain,<grid>,step,risk_acc,risk_rep,accepted``), lane by lane and, within a
-lane, grid point by grid point.  Its manifest fingerprints both files and holds
-the rest of each chain's ``ChainResult`` as ``chains[lane][point]``, keyed by
-``_RECORDED``.  The curve is derived from the chains, so ``load_sweep`` checks
-that the curve CSV holds exactly that derived curve.
+lane, grid point by grid point.  Its manifest fingerprints both files; its
+``parameters`` and grid give each chain's ``ChainConfig`` but the scale, which
+``chains[lane][point]`` holds with the phase timings and, as checks, the derived
+acceptance rate and calibration verdict (keys ``_RECORDED``).  ``load_sweep``
+rebuilds the chains and refuses a step column, entry or curve CSV they do not give.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import numpy as np
 
 from .datasets import read_table, whole_numbers, write_csv
 from .errors import ConfigError, DomainError
-from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainResult, SweepResult
+from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, ChainResult, SweepResult
 from .reconstruction import EntropyCurve
 
 __all__ = ["file_fingerprint", "write_sweep", "load_sweep", "read_curve_csv", "read_entropy_csv"]
@@ -38,6 +39,11 @@ def file_fingerprint(path) -> dict:
     return {"path": str(path), "sha256": digest.hexdigest(), "bytes": os.path.getsize(path)}
 
 
+def _entry(r: ChainResult) -> dict:
+    """A chain's ``chains[lane][point]`` object."""
+    return dict(zip(_RECORDED, (r.acceptance_rate, r.config.proposal_scale, r.calibration_converged, r.phase_s)))
+
+
 def write_sweep(out, sweep: SweepResult, grid_column, manifest):
     """Write the curve to ``out``, every chain to ``out.chains.csv`` and the rest of the sweep to ``manifest``."""
     write_csv(out, [grid_column, *_CURVE_COLUMNS],
@@ -50,18 +56,17 @@ def write_sweep(out, sweep: SweepResult, grid_column, manifest):
     total = sum(int(r.steps[-1]) for results in sweep.runs for r in results)
     manifest.record["step_counts"] = {"total_steps": total}
     manifest.record["chain_workers"] = sweep.workers
-    manifest.record["chains"] = [[{key: getattr(r, key) for key in _RECORDED} for r in lane]
-                                 for lane in sweep.runs]
+    manifest.record["chains"] = [[_entry(r) for r in lane] for lane in sweep.runs]
 
 
 def load_sweep(out) -> SweepResult:
     """The ``SweepResult`` a sweep wrote to ``out``, but with no ``final_state``: weights are not written.
 
-    A file the manifest lists that is missing or whose SHA-256 differs from the recorded one, an
-    unlisted chain table, or a table whose rows are not the manifest's lanes × grid points ×
-    ``samples``, raises ConfigError naming the file; a manifest with no ``chains``, one that is not
-    lanes × grid points of ``_RECORDED`` objects, or one whose chains do not give the curve CSV,
-    raises one naming the manifest.
+    A listed file that is missing or whose SHA-256 differs from the manifest's, an unlisted chain
+    table, or a table whose rows are not the manifest's lanes × grid points × ``samples`` or whose
+    ``step`` column is not the chains' steps raises ConfigError naming the file.  A manifest with
+    no ``chains``, one not lanes × grid points of ``_RECORDED`` objects, a ``proposal_scale`` that
+    ``ChainConfig`` refuses, or an entry or curve CSV the rebuilt chains do not give names the manifest.
     """
     out, manifest = os.fspath(out), f"{out}.manifest.json"
     with open(manifest) as fh:
@@ -93,15 +98,21 @@ def load_sweep(out) -> SweepResult:
             table[:, :2], np.repeat(keys, samples, axis=0)):
         raise ConfigError(f"{path}: rows are not {len(chains)} chains × {len(grid)} "
                           f"{grid_column} values × {samples} samples of {', '.join(_CHAIN_COLUMNS)}")
-
-    def chain(block, entry):
-        steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(block.T)
-        return ChainResult(steps.astype(np.int64), risk_acc, risk_rep, accepted.astype(np.int64),
-                           final_state=None, **entry)
-
     blocks = table[:, 2:].reshape(len(chains), len(grid), samples, len(_CHAIN_COLUMNS))
-    sweep = SweepResult(grid, [[chain(block, entry) for block, entry in zip(lane_blocks, entries)]
-                               for lane_blocks, entries in zip(blocks, chains)], record["chain_workers"])
+
+    def chain(lane, point, entry):
+        steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(blocks[lane, point].T)
+        config = _valid(manifest, ChainConfig, beta=grid[point], proposal_scale=entry["proposal_scale"],
+                        **{key: params[key] for key in ("burn_in", "samples", "thin", "seed", "calibrate")})
+        result = ChainResult(config, risk_acc, risk_rep, accepted.astype(np.int64), None, entry["phase_s"])
+        if not np.array_equal(steps, result.steps):
+            raise ConfigError(f"{path}: chain {lane}'s 'step' is not {config.burn_in} + {config.thin}·(1…{samples})")
+        if _entry(result) != entry:
+            raise ConfigError(f"{manifest}: 'chains'[{lane}][{point}] differs from what its chain gives")
+        return result
+
+    sweep = SweepResult([[chain(lane, point, entry) for point, entry in enumerate(entries)]
+                         for lane, entries in enumerate(chains)], record["chain_workers"])
     if not np.array_equal(read_table(verified(out))[1], [dataclasses.astuple(p) for p in sweep.curve.points]):
         raise ConfigError(f"{manifest}: 'chains' does not give the curve in {out}")
     return sweep
@@ -115,10 +126,10 @@ def _finite(path, header, table):
                               f"got {column[~np.isfinite(column)][0]}")
 
 
-def _valid(path, make, *args):
-    """``make(*args)``; a value the type refuses raises ConfigError naming ``path``."""
+def _valid(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value the type refuses raises ConfigError naming ``path``."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

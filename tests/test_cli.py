@@ -597,7 +597,7 @@ class TestSamplingCommands:
         # beta = 0 accepts every move, so its band is out of reach
         for at_zero, _ in runs:
             assert at_zero.calibration_converged is False
-            assert at_zero.proposal_scale == math.pi
+            assert at_zero.config.proposal_scale == math.pi
 
     @pytest.mark.parametrize("flags", [
         ["--machine", "perceptron-exact", "--beta-grid", "0,nan,3"],

@@ -445,7 +445,7 @@ def _two_chain_sweep():
 
 
 def same_chain(a, b):
-    return (a.proposal_scale == b.proposal_scale
+    return (a.config.proposal_scale == b.config.proposal_scale
             and (a.steps == b.steps).all() and (a.accepted == b.accepted).all()
             and (a.risk_acceptance == b.risk_acceptance).all()
             and (a.risk_report == b.risk_report).all())
@@ -454,8 +454,8 @@ def same_chain(a, b):
 class TestRunChain:
     def test_matches_exact_boltzmann_risk(self):
         cfg = ChainConfig(beta=10.0, proposal_scale=0.5, burn_in=3000, samples=2000,
-                          thin=5, seed=42)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=True)
+                          thin=5, seed=42, calibrate=True)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk)
         exact = boltzmann_risk_exact(10.0, GSPEC)
         assert abs(res.mean_report - exact) <= 3 * res.stderr_report
 
@@ -484,7 +484,7 @@ class TestRunChain:
 
         cfg = ChainConfig(beta=40.0, proposal_scale=1.0, burn_in=50, samples=200, thin=2, seed=62)
         res = run_chain(cfg, PSPEC, exact_perceptron_risk, report_risk_fn=counting, mode=mode)
-        moved = int(res.accepted[1:].sum())
+        moved = int(np.count_nonzero(res.accepted[1:]))
         assert 0 < moved < res.accepted.size - 1  # some records reuse, some re-evaluate
         assert len(calls) == 1 + moved
         same = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
@@ -502,21 +502,22 @@ class TestRunChain:
             return original(*args)
 
         monkeypatch.setattr(mcmc, step_name, counting)
-        cfg = ChainConfig(beta=5.0, proposal_scale=0.4, burn_in=30, samples=20, thin=3, seed=55)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode, calibrate=True)
+        cfg = ChainConfig(beta=5.0, proposal_scale=0.4, burn_in=30, samples=20, thin=3, seed=55,
+                          calibrate=True)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
         assert res.calibration_converged is not None
         assert len(calls) == 30 + 20 * 3  # the adaptive burn-in is the burn-in
 
     def test_calibration_outcome_recorded(self):
         def chain(beta, calibrate):
             cfg = ChainConfig(beta=beta, proposal_scale=0.5, burn_in=1000, samples=400,
-                              thin=1, seed=56)
-            return run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=calibrate)
+                              thin=1, seed=56, calibrate=calibrate)
+            return run_chain(cfg, PSPEC, exact_perceptron_risk)
 
         # at beta = 0 every move is accepted, so the 0.2-0.4 band is out of reach
         flat = chain(0.0, True)
         assert flat.calibration_converged is False
-        assert flat.proposal_scale == math.pi
+        assert flat.config.proposal_scale == math.pi
         calibrated = chain(10.0, True)
         assert calibrated.calibration_converged is True
         assert 0.2 <= calibrated.accepted.mean() <= 0.4  # thin 1: the sampling-phase rate
@@ -524,12 +525,14 @@ class TestRunChain:
 
     @pytest.mark.parametrize("mode", ["boltzmann", "annealed"])
     def test_flat_target_takes_cap_without_probing(self, mode):
-        cfg = ChainConfig(beta=0.0, proposal_scale=0.05, burn_in=300, samples=10, thin=1, seed=59)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode, calibrate=True)
-        assert res.proposal_scale == mcmc.MAX_SCALE == math.pi
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.05, burn_in=300, samples=10, thin=1, seed=59,
+                          calibrate=True)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
+        assert res.config.proposal_scale == mcmc.MAX_SCALE == math.pi
         assert res.calibration_converged is False
         assert res.steps[-1] == 300 + 10 and res.acceptance_rate == 1.0
-        plain = run_chain(replace(cfg, proposal_scale=math.pi), PSPEC, exact_perceptron_risk, mode=mode)
+        plain = run_chain(replace(cfg, proposal_scale=math.pi, calibrate=False), PSPEC, exact_perceptron_risk,
+                          mode=mode)
         assert same_chain(res, plain)  # the whole burn-in ran at the cap
 
     @pytest.mark.parametrize("start", [0.05, 0.5, 3.0])
@@ -540,26 +543,40 @@ class TestRunChain:
 
         def chain(burn_in):
             cfg = ChainConfig(beta=10.0, proposal_scale=start, burn_in=burn_in, samples=10,
-                              thin=1, seed=60)
-            return run_chain(cfg, PSPEC, lambda w: 0.25, calibrate=True)
+                              thin=1, seed=60, calibrate=True)
+            return run_chain(cfg, PSPEC, lambda w: 0.25)
 
         short = chain(100 * (windows - 1))
-        assert short.proposal_scale == pytest.approx(start * 1.4 ** (windows - 1))
-        assert short.proposal_scale < math.pi
+        assert short.config.proposal_scale == pytest.approx(start * 1.4 ** (windows - 1))
+        assert short.config.proposal_scale < math.pi
         for burn_in in (100 * (windows - 1) + 1, 100 * windows, 100 * windows + 250):
             res = chain(burn_in)  # a shorter last window adapts too
-            assert res.proposal_scale == math.pi
+            assert res.config.proposal_scale == math.pi
             assert res.calibration_converged is False
 
     @pytest.mark.parametrize("start", [0.01, 0.5, 3.0, 10.0])
     @pytest.mark.parametrize("beta", [0.0, 0.3, 10.0, 200.0])
     def test_calibrated_scale_never_exceeds_cap(self, start, beta):
-        cfg = ChainConfig(beta=beta, proposal_scale=start, burn_in=700, samples=1, thin=1, seed=61)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, calibrate=True)
-        assert 0 < res.proposal_scale <= math.pi
+        cfg = ChainConfig(beta=beta, proposal_scale=start, burn_in=700, samples=1, thin=1, seed=61,
+                          calibrate=True)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk)
+        assert 0 < res.config.proposal_scale <= math.pi
         assert res.steps[-1] == 700 + 1
-        unadapted = run_chain(replace(cfg, burn_in=0), PSPEC, exact_perceptron_risk, calibrate=True)
-        assert unadapted.proposal_scale == (min(start, math.pi) if beta else math.pi)
+        unadapted = run_chain(replace(cfg, burn_in=0), PSPEC, exact_perceptron_risk)
+        assert unadapted.config.proposal_scale == (min(start, math.pi) if beta else math.pi)
+
+    @pytest.mark.parametrize("calibrate", [False, True])
+    def test_accepted_counts_each_thin_blocks_moves(self, calibrate):
+        cfg = ChainConfig(beta=5.0, proposal_scale=0.3, burn_in=0, samples=200, thin=5, seed=63,
+                          calibrate=calibrate)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk)
+        state = res.final_state
+        assert res.accepted.max() > 1 and 0 <= res.accepted.min() and res.accepted.max() <= 5
+        assert res.accepted.sum() == state.accepts
+        assert res.steps.tolist() == list(range(5, 1001, 5)) and state.steps_taken == 1000
+        # with no burn-in every accept is a sampling-phase accept
+        assert res.acceptance_rate == state.accepts / state.steps_taken
+        assert res.calibration_converged == ((0.2 <= res.acceptance_rate <= 0.4) if calibrate else None)
 
     def test_random_start_walks_unit_sphere(self):
         spec = PredictorSpec(kind="mlp", input_dim=3, layer_sizes=(2, 2))
@@ -586,18 +603,18 @@ class TestRunChain:
 class TestBoltzmannSweep:
     def test_perceptron_grid_matches_exact(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=2500, samples=1500,
-                          thin=5, seed=46)
+                          thin=5, seed=46, calibrate=True)
         sweep = boltzmann_sweep([0.0, 5.0, 20.0, 100.0], cfg, PSPEC,
-                                exact_perceptron_risk, n_chains=2, calibrate=True)
+                                exact_perceptron_risk, n_chains=2)
         for point in sweep.curve.points:
             exact = boltzmann_risk_exact(point.beta, GSPEC)
             assert abs(point.risk - exact) <= 3 * point.stderr
 
     def test_means_non_increasing_within_noise(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=2000, samples=1000,
-                          thin=3, seed=47)
+                          thin=3, seed=47, calibrate=True)
         sweep = boltzmann_sweep([0.0, 2.0, 10.0, 50.0], cfg, PSPEC,
-                                exact_perceptron_risk, calibrate=True)
+                                exact_perceptron_risk)
         pts = sweep.curve.points
         for a, b in zip(pts, pts[1:]):
             assert b.risk <= a.risk + 3 * math.hypot(a.stderr, b.stderr)
@@ -620,24 +637,22 @@ class TestBoltzmannSweep:
 
     def test_warm_and_cold_starts_agree(self):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=3000, samples=1500,
-                          thin=4, seed=50)
+                          thin=4, seed=50, calibrate=True)
         grid = [0.0, 5.0, 20.0]
-        warm = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk,
-                               warm_start=True, calibrate=True)
-        cold = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk,
-                               warm_start=False, calibrate=True)
+        warm = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk, warm_start=True)
+        cold = boltzmann_sweep(grid, cfg, PSPEC, exact_perceptron_risk, warm_start=False)
         for pw, pc in zip(warm.curve.points, cold.curve.points):
             gap = abs(pw.risk - pc.risk)
             assert gap <= 3 * math.hypot(pw.stderr, pc.stderr)
 
     def test_results_independent_of_worker_count(self, monkeypatch):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=200, samples=100,
-                          thin=2, seed=52)
+                          thin=2, seed=52, calibrate=True)
         sweeps = []
         for threads in ("1", "2"):
             monkeypatch.setenv("RISKLAB_THREADS", threads)
             sweeps.append(boltzmann_sweep([0.0, 5.0, 20.0], cfg, PSPEC, exact_perceptron_risk,
-                                          n_chains=3, calibrate=True))
+                                          n_chains=3))
         sequential, pooled = sweeps
         assert sequential.curve == pooled.curve
         for lane_a, lane_b in zip(sequential.runs, pooled.runs):

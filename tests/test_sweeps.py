@@ -32,15 +32,18 @@ def sweep(tmp_path, monkeypatch, command, *flags, chains=2):
     return out, written[0]
 
 
+DERIVED = ["steps", "acceptance_rate", "calibration_converged", "mean_report", "stderr_report", "ess"]
+
+
 def assert_same_sweep(written, loaded, shape):
-    """``loaded`` equals ``written`` in every field but the chains' ``final_state``, dtypes included."""
+    """``loaded`` equals ``written`` in every field and derived value but ``final_state``, dtypes included."""
     assert loaded.grid == written.grid and loaded.curve == written.curve and loaded.workers == written.workers
     assert [len(lane) for lane in loaded.runs] == [len(lane) for lane in written.runs] == shape
     names = [f.name for f in dataclasses.fields(ChainResult) if f.name != "final_state"]
     for lane_w, lane_l in zip(written.runs, loaded.runs):
         for w, l in zip(lane_w, lane_l):
             assert l.final_state is None
-            for name in names + ["mean_report", "stderr_report", "ess"]:
+            for name in names + DERIVED:
                 a, b = getattr(w, name), getattr(l, name)
                 if isinstance(a, np.ndarray):
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -152,7 +155,22 @@ def test_chains_record_of_another_shape_is_refused(tmp_path, monkeypatch, edit):
 def test_manifest_acceptance_rate_that_is_not_the_curve_is_refused(tmp_path, monkeypatch):
     out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
     manifest = rewrite_manifest(out, lambda record: record["chains"][1][0].update(acceptance_rate=0.5))
-    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains' does not give the curve")):
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains'[1][0] differs from what its chain")):
+        load_sweep(out)
+
+
+def test_manifest_calibration_verdict_that_is_not_the_chains_is_refused(tmp_path, monkeypatch):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"], "--calibrate")
+    manifest = rewrite_manifest(out, lambda record: record["chains"][0][1].update(
+        calibration_converged=not record["chains"][0][1]["calibration_converged"]))
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains'[0][1] differs from what its chain")):
+        load_sweep(out)
+
+
+def test_manifest_scale_that_chain_config_refuses_is_refused(tmp_path, monkeypatch):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
+    manifest = rewrite_manifest(out, lambda record: record["chains"][1][2].update(proposal_scale=-1))
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: proposal_scale must be finite and > 0")):
         load_sweep(out)
 
 
@@ -171,13 +189,25 @@ def test_manifest_of_chain_files_is_refused(tmp_path, monkeypatch):
         load_sweep(out)
 
 
-def lane_one_first(out):
-    """Rewrite the table with lane 1's rows before lane 0's, and record its new SHA-256."""
+def rewrite_table(out, edit):
+    """Rewrite the chain table's data rows with ``edit``, and record its new SHA-256."""
     table = out.parent / f"{out.name}.chains.csv"
     header, *rows = table.read_text().splitlines(keepends=True)
-    table.write_text("".join([header, *sorted(rows, key=lambda row: row.startswith("0,"))]))
+    table.write_text("".join([header, *edit(rows)]))
     rewrite_manifest(out, lambda record: record.update(outputs=[
         file_fingerprint(table) if e["path"] == str(table) else e for e in record["outputs"]]))
+
+
+def lane_one_first(out):
+    """Rewrite the table with lane 1's rows before lane 0's, and record its new SHA-256."""
+    rewrite_table(out, lambda rows: sorted(rows, key=lambda row: row.startswith("0,")))
+
+
+def one_step_later(rows):
+    """The rows with the fourth record's step one higher."""
+    chain, beta, step, *rest = rows[3].split(",")
+    rows[3] = ",".join([chain, beta, str(int(step) + 1), *rest])
+    return rows
 
 
 @pytest.mark.parametrize("edit", [
@@ -189,4 +219,15 @@ def test_table_that_is_not_the_manifests_blocks_is_refused(tmp_path, monkeypatch
     out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
     edit(out)
     with pytest.raises(ConfigError, match=re.escape(f"{out}.chains.csv: rows are not 2 chains")):
+        load_sweep(out)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda out: rewrite_manifest(out, lambda record: record["parameters"].update(thin=3)),
+    lambda out: rewrite_table(out, one_step_later),
+], ids=["thin-edited", "step-edited"])
+def test_table_whose_steps_are_not_the_configs_is_refused(tmp_path, monkeypatch, edit):
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
+    edit(out)
+    with pytest.raises(ConfigError, match=re.escape(f"{out}.chains.csv: chain 0's 'step' is not 30 + ")):
         load_sweep(out)
