@@ -12,7 +12,8 @@ sampling-phase rate over blocks of 3 steps; ``reconstruct entropy`` on an
 exact and a sampled curve; ``fit quadratic``.  Every sweep is read back
 with ``load_sweep``, which refuses a sweep whose curve CSV differs in any
 cell from the curve derived from its chain table, and the script exits
-non-zero naming a sweep it refuses.
+non-zero naming a sweep it refuses or whose chains' ``ChainConfig.mode`` is
+not the target of the command that wrote it.
 Every file written under OUTDIR except the manifests, whose timings change
 from run to run, is printed as ``sha256  relative/path``, sorted by path.
 
@@ -36,6 +37,7 @@ from risklab.errors import ConfigError
 
 SWEEP = ["--burn-in", 50, "--samples", 40, "--thin", 1, "--proposal-scale", 0.3]
 GRIDS = {"boltzmann-sweep": ["--beta-grid", "0,3,10"], "annealed": ["--m-grid", "0,5,20"]}
+MODES = {"boltzmann-sweep": "boltzmann", "annealed": "annealed"}  # the target each command samples
 
 
 def run(*args):
@@ -45,13 +47,16 @@ def run(*args):
         raise SystemExit(f"exit {code}: {' '.join(args)}")
 
 
-def sweep(out: Path, tag, *args):
-    """Run ``sample *args`` to OUTDIR/tag.csv and read it back with ``load_sweep``."""
-    run("sample", *args, "--seed", 5, "--out", out / f"{tag}.csv")
+def sweep(out: Path, tag, command, *args):
+    """Run ``sample command *args`` to OUTDIR/tag.csv, read it back with ``load_sweep`` and check its mode."""
+    run("sample", command, *args, "--seed", 5, "--out", out / f"{tag}.csv")
     try:
-        load_sweep(out / f"{tag}.csv")
+        loaded = load_sweep(out / f"{tag}.csv")
     except ConfigError as exc:
         raise SystemExit(f"sweep {tag} refused: {exc}")
+    modes = {r.config.mode for lane in loaded.runs for r in lane}
+    if modes != {MODES[command]}:
+        raise SystemExit(f"sweep {tag}: chains carry mode {sorted(modes)}, not {command}'s {MODES[command]!r}")
 
 
 def main(out: Path):

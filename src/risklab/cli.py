@@ -51,7 +51,7 @@ from .predictors import (
 from .reconstruction import predicted_annealed_risk, quadratic_fit, reconstruct
 from .replica import solve_saddle
 from .rng import stream
-from .sweeps import file_fingerprint, read_curve_csv, read_entropy_csv, write_sweep
+from .sweeps import GRID_COLUMN, file_fingerprint, read_curve_csv, read_entropy_csv, write_sweep
 
 __all__ = ["dispatch", "main"]
 
@@ -207,22 +207,21 @@ def _build_machine(params, manifest):
     return spec, risk_fn, report_fn
 
 
-def _run_sweep(params, manifest, mode, grid_column):
+def _run_sweep(params, manifest, mode):
     """``sample`` commands: the sweep's files and manifest fields (:func:`write_sweep`)."""
     spec, risk_fn, report_fn = _build_machine(params, manifest)
     base = ChainConfig(beta=0.0, proposal_scale=params["proposal_scale"], burn_in=params["burn_in"],
                        samples=params["samples"], thin=params["thin"], seed=params["seed"],
-                       calibrate=params["calibrate"])
+                       calibrate=params["calibrate"], mode=mode)
     sweep = boltzmann_sweep(
-        params[f"{grid_column}_grid"],
+        params[f"{GRID_COLUMN[mode]}_grid"],
         base,
         spec,
         risk_fn,
         report_risk_fn=report_fn,
         n_chains=params["chains"],
-        mode=mode,
     )
-    write_sweep(params["out"], sweep, grid_column, manifest)
+    write_sweep(params["out"], sweep, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +370,11 @@ _COMMANDS = {
     ),
     ("sample", "boltzmann-sweep"): (
         _MACHINE_OPTS + [Opt("--beta-grid", _float_list, required=True)],
-        partial(_run_sweep, mode="boltzmann", grid_column="beta"),
+        partial(_run_sweep, mode="boltzmann"),
     ),
     ("sample", "annealed"): (
         _MACHINE_OPTS + [Opt("--m-grid", _int_list, required=True)],
-        partial(_run_sweep, mode="annealed", grid_column="m"),
+        partial(_run_sweep, mode="annealed"),
     ),
     ("reconstruct", "entropy"): (
         [Opt("--curve", str, required=True, file="in"), Opt("--anchor-s0", float, default=0.0), _OUT],

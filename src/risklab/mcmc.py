@@ -1,13 +1,13 @@
 """Markov-chain Monte Carlo over weight space.
 
 Chains target either the Boltzmann weight e^{−β·R(w)} (``metropolis_step``)
-or the annealed posterior (1 − R(w))^m (``annealed_step``), with an exact
-compound minibatch proposal available for expensive risks.  Every move is one
-propose → risk → finite check → accept → count step; only its acceptance
-rule, Boltzmann or annealed, depends on the target.  Acceptance always uses
-the acceptance risk callable while the recorded "report" risk may come from
-a second callable over held-out data, so the number being reported is not
-the number the chain optimises.
+or the annealed posterior (1 − R(w))^m (``annealed_step``), as their
+``ChainConfig.mode`` names, with an exact compound minibatch proposal for
+expensive risks.  Every move is one propose → risk → finite check → accept →
+count step; only its acceptance rule, Boltzmann or annealed, depends on the
+target.  Acceptance always uses the acceptance risk callable while the
+recorded "report" risk may come from a second callable over held-out data,
+so the number being reported is not the number the chain optimises.
 
 A chain given no start walks the unit sphere, whatever the machine's weight
 constraint: an unbounded space has no flat reference measure, so a β = 0
@@ -65,12 +65,12 @@ __all__ = [
 class ChainConfig:
     """Sampler settings for one chain.
 
-    ``beta`` is the inverse temperature; chains run in annealed mode read it
-    as the whole sample count m instead.  ``acceptance_data`` is the dataset
-    behind the acceptance risk; ``minibatch_proposal_step`` takes its size
-    when not given ``n_examples``.  With ``calibrate`` the burn-in adapts
-    the proposal scale (``_burn_in``).  The risk callables are built by the
-    caller.
+    ``mode`` names the target, ``"boltzmann"`` (e^{−β·R}) or ``"annealed"``
+    ((1 − R)^m, reading ``beta`` as the whole m).  ``acceptance_data`` is
+    the dataset behind the acceptance risk; ``minibatch_proposal_step`` takes
+    its size when not given ``n_examples``.  With ``calibrate`` the burn-in
+    adapts the proposal scale (``_burn_in``).  The risk callables are built
+    by the caller.
     """
 
     beta: float
@@ -81,10 +81,15 @@ class ChainConfig:
     seed: int
     acceptance_data: object = None
     calibrate: bool = False
+    mode: str = "boltzmann"
 
     def __post_init__(self):
         if not self.beta >= 0:  # NaN fails every comparison
             raise DomainError(f"beta must be >= 0, got {self.beta}")
+        if self.mode not in ("boltzmann", "annealed"):
+            raise DomainError(f"unknown chain mode {self.mode!r}")
+        if self.mode == "annealed" and not float(self.beta).is_integer():  # refuses m = ∞ too
+            raise DomainError(f"annealed mode needs a whole sample count m, got {self.beta}")
         if not 0 < self.proposal_scale < math.inf:
             raise DomainError(f"proposal_scale must be finite and > 0, got {self.proposal_scale}")
         if self.samples < 1:
@@ -377,27 +382,11 @@ def _burn_in(state, config, advance) -> ChainConfig:
     return replace(config, proposal_scale=scale)
 
 
-def _chain_step(mode: str, beta: float):
-    """(public step, its arguments ahead of the config) for a chain in ``mode``.
-
-    The step is read from the module when the chain starts, so a wrapper set
-    there beforehand sees every step of the chain, adaptive burn-in included.
-    """
-    if mode == "boltzmann":
-        return metropolis_step, ()
-    if mode == "annealed":
-        if not float(beta).is_integer():
-            raise DomainError(f"annealed mode needs a whole sample count m, got {beta}")
-        return annealed_step, (int(beta),)
-    raise DomainError(f"unknown chain mode {mode!r}")
-
-
 def run_chain(
     config: ChainConfig,
     spec: PredictorSpec,
     risk_fn,
     report_risk_fn=None,
-    mode: str = "boltzmann",
     initial: WeightVector | None = None,
     seed_path: tuple = (),
 ) -> ChainResult:
@@ -405,12 +394,13 @@ def run_chain(
 
     The report risk must be a function of the weights alone: it is
     evaluated only at record time, and a record whose thin block accepted no
-    move reuses the previous record's value.  In annealed mode the
-    config's beta field is read as the sample count m.  Without ``initial``
-    the chain starts from ``random_weights`` moved onto the unit sphere.
+    move reuses the previous record's value.  The step ``config.mode`` picks
+    is read from the module when the chain starts, so a wrapper set there
+    sees every step, burn-in included.  Without ``initial`` the chain starts
+    from ``random_weights`` moved onto the unit sphere.
     """
     rng = stream(config.seed, *seed_path)
-    step, lead = _chain_step(mode, config.beta)
+    step, lead = (annealed_step, (int(config.beta),)) if config.mode == "annealed" else (metropolis_step, ())
 
     if initial is None:
         initial = random_weights(spec, 1.0, rng)
@@ -455,7 +445,6 @@ def boltzmann_sweep(
     report_risk_fn=None,
     n_chains: int = 1,
     warm_start: bool = True,
-    mode: str = "boltzmann",
 ) -> SweepResult:
     """One or more chains per beta, warm-started along the increasing grid.
 
@@ -466,22 +455,22 @@ def boltzmann_sweep(
     ``fork_workers(n_chains)`` processes, the caller among them, so one
     worker (or a platform without fork, or a caller that is itself a
     daemonic worker) runs every lane in the calling thread.  Every grid
-    point's settings are checked before any chain runs.
+    point's config is built, and so checked, before any chain runs; one with
+    ``acceptance_data``, which no sweep reads and each lane would pickle back, is refused.
     """
     beta_grid = [float(b) for b in beta_grid]
     if any(not b2 > b1 for b1, b2 in zip(beta_grid, beta_grid[1:])):  # refuses NaN too
         raise DomainError(f"beta grid must be strictly increasing, got {beta_grid}")
     if n_chains < 1:
         raise DomainError(f"n_chains must be >= 1, got {n_chains}")
+    if base_config.acceptance_data is not None:
+        raise DomainError("a sweep's base config must not set acceptance_data, which no sweep reads")
     configs = [replace(base_config, beta=beta) for beta in beta_grid]
-    for beta in beta_grid:
-        _chain_step(mode, beta)
 
     def run_lane(lane):
         results, warm = [], None
         for bi, cfg in enumerate(configs):
-            res = run_chain(cfg, spec, risk_fn, report_risk_fn=report_risk_fn, mode=mode,
-                            initial=warm, seed_path=(lane, bi))
+            res = run_chain(cfg, spec, risk_fn, report_risk_fn=report_risk_fn, initial=warm, seed_path=(lane, bi))
             results.append(res)
             if warm_start:
                 warm = res.final_state.w

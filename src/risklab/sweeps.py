@@ -1,14 +1,15 @@
 """A sweep's record, written and read back as one value, and the curve and entropy CSV readers.
 
 A sweep with ``--out`` path ``out`` writes its curve to ``out`` (columns
-``<grid>,risk,stderr,acceptance_rate,ess``, the grid ``beta``, or ``m`` when
-annealed) and every chain's records to one table, ``out.chains.csv`` (columns
+``<grid>,risk,stderr,acceptance_rate,ess``, the grid ``GRID_COLUMN[mode]``) and
+every chain's records to one table, ``out.chains.csv`` (columns
 ``chain,<grid>,step,risk_acc,risk_rep,accepted``), lane by lane and, within a
 lane, grid point by grid point.  Its manifest fingerprints both files; its
-``parameters`` and grid give each chain's ``ChainConfig`` but the scale, which
-``chains[lane][point]`` holds with the phase timings and, as checks, the derived
-acceptance rate and calibration verdict (keys ``_RECORDED``).  ``load_sweep``
-rebuilds the chains and refuses a step column, entry or curve CSV they do not give.
+``parameters`` (``<grid>_grid`` names the mode) give each chain's ``ChainConfig``
+but the scale, which ``chains[lane][point]`` holds with the phase timings and, as
+checks, the derived acceptance rate and calibration verdict (keys ``_RECORDED``).
+``load_sweep`` rebuilds the chains and refuses a scale, step column, entry or curve
+CSV they do not give.
 """
 
 import dataclasses
@@ -20,11 +21,13 @@ import numpy as np
 
 from .datasets import read_table, whole_numbers, write_csv
 from .errors import ConfigError, DomainError
-from .mcmc import BoltzmannCurve, BoltzmannPoint, ChainConfig, ChainResult, SweepResult
+from .mcmc import MAX_SCALE, BoltzmannCurve, BoltzmannPoint, ChainConfig, ChainResult, SweepResult
 from .reconstruction import EntropyCurve
 
 __all__ = ["file_fingerprint", "write_sweep", "load_sweep", "read_curve_csv", "read_entropy_csv"]
 
+# a chain mode's grid: the column of its CSVs and, with "_grid", its sweep parameter
+GRID_COLUMN = {"boltzmann": "beta", "annealed": "m"}
 _CURVE_COLUMNS = ("risk", "stderr", "acceptance_rate", "ess")
 _CHAIN_COLUMNS = ("step", "risk_acc", "risk_rep", "accepted")
 _RECORDED = ("acceptance_rate", "proposal_scale", "calibration_converged", "phase_s")
@@ -44,8 +47,9 @@ def _entry(r: ChainResult) -> dict:
     return dict(zip(_RECORDED, (r.acceptance_rate, r.config.proposal_scale, r.calibration_converged, r.phase_s)))
 
 
-def write_sweep(out, sweep: SweepResult, grid_column, manifest):
+def write_sweep(out, sweep: SweepResult, manifest):
     """Write the curve to ``out``, every chain to ``out.chains.csv`` and the rest of the sweep to ``manifest``."""
+    grid_column = GRID_COLUMN[sweep.runs[0][0].config.mode]
     write_csv(out, [grid_column, *_CURVE_COLUMNS],
               [(p.beta, p.risk, p.stderr, p.acceptance_rate, p.ess) for p in sweep.curve.points])
     write_csv(f"{out}.chains.csv", ["chain", grid_column, *_CHAIN_COLUMNS],
@@ -66,7 +70,7 @@ def load_sweep(out) -> SweepResult:
     table, or a table whose rows are not the manifest's lanes × grid points × ``samples`` or whose
     ``step`` column is not the chains' steps raises ConfigError naming the file.  A manifest with
     no ``chains``, one not lanes × grid points of ``_RECORDED`` objects, a ``proposal_scale`` that
-    ``ChainConfig`` refuses, or an entry or curve CSV the rebuilt chains do not give names the manifest.
+    ``ChainConfig`` or burn-in rules out, or an entry or curve CSV the rebuilt chains do not give names the manifest.
     """
     out, manifest = os.fspath(out), f"{out}.manifest.json"
     with open(manifest) as fh:
@@ -85,7 +89,7 @@ def load_sweep(out) -> SweepResult:
             raise ConfigError(f"{path}: SHA-256 differs from the one in {manifest}")
         return path
 
-    grid_column = "m" if "m_grid" in params else "beta"
+    mode, grid_column = next((mode, column) for mode, column in GRID_COLUMN.items() if f"{column}_grid" in params)
     grid = [float(g) for g in params[f"{grid_column}_grid"]]
     chains, samples = record["chains"], params["samples"]
     if len(chains) != params["chains"] or any(
@@ -102,8 +106,11 @@ def load_sweep(out) -> SweepResult:
 
     def chain(lane, point, entry):
         steps, risk_acc, risk_rep, accepted = np.ascontiguousarray(blocks[lane, point].T)
-        config = _valid(manifest, ChainConfig, beta=grid[point], proposal_scale=entry["proposal_scale"],
+        config = _valid(manifest, ChainConfig, beta=grid[point], proposal_scale=entry["proposal_scale"], mode=mode,
                         **{key: params[key] for key in ("burn_in", "samples", "thin", "seed", "calibrate")})
+        bound = MAX_SCALE if config.calibrate else params["proposal_scale"]  # only a calibrated β > 0 chain ends below
+        if config.proposal_scale > bound or (config.proposal_scale < bound and not (config.calibrate and config.beta)):
+            raise ConfigError(f"{manifest}: 'chains'[{lane}][{point}] proposal_scale is not one its parameters give")
         result = ChainResult(config, risk_acc, risk_rep, accepted.astype(np.int64), None, entry["phase_s"])
         if not np.array_equal(steps, result.steps):
             raise ConfigError(f"{path}: chain {lane}'s 'step' is not {config.burn_in} + {config.thin}·(1…{samples})")

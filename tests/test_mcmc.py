@@ -389,6 +389,26 @@ class TestMinibatchProposalStep:
         assert rng.bit_generator.state == before
         assert state.steps_taken == 0
 
+    def test_size_from_acceptance_data_is_n_examples(self):
+        # the route wide-data's library chains take: n from the config's dataset
+        data = gen_gaussian_pair(GaussianClassSpec(2, 1.0), 12, seed=4)
+        runs = []
+        for cfg, kw in [(config(beta=3.0, acceptance_data=data), {}), (config(beta=3.0), {"n_examples": 12})]:
+            state, rng = toy_state(), np.random.default_rng(9)
+            for _ in range(50):
+                minibatch_proposal_step(state, cfg, 2, 4, mb_full_risk, mb_batch_risk, rng, **kw)
+            runs.append((state.w.values.tolist(), state.accepts, state.steps_taken, rng.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 0
+
+    def test_no_size_raises_before_any_draw(self):
+        state, rng = toy_state(), np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(DomainError, match="n_examples or config.acceptance_data"):
+            minibatch_proposal_step(state, config(), 1, 4, mb_full_risk, mb_batch_risk, rng)
+        assert rng.bit_generator.state == before
+        assert state.steps_taken == 0
+
 
 class TestSampleWithoutReplacement:
     # one case per branch: the permutation slice (n <= 4096) and rng.choice
@@ -482,12 +502,12 @@ class TestRunChain:
             calls.append(1)
             return exact_perceptron_risk(w)
 
-        cfg = ChainConfig(beta=40.0, proposal_scale=1.0, burn_in=50, samples=200, thin=2, seed=62)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, report_risk_fn=counting, mode=mode)
+        cfg = ChainConfig(beta=40.0, proposal_scale=1.0, burn_in=50, samples=200, thin=2, seed=62, mode=mode)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk, report_risk_fn=counting)
         moved = int(np.count_nonzero(res.accepted[1:]))
         assert 0 < moved < res.accepted.size - 1  # some records reuse, some re-evaluate
         assert len(calls) == 1 + moved
-        same = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
+        same = run_chain(cfg, PSPEC, exact_perceptron_risk)
         assert (res.risk_report == same.risk_report).all()
 
     @pytest.mark.parametrize("mode, step_name", [("boltzmann", "metropolis_step"),
@@ -503,8 +523,8 @@ class TestRunChain:
 
         monkeypatch.setattr(mcmc, step_name, counting)
         cfg = ChainConfig(beta=5.0, proposal_scale=0.4, burn_in=30, samples=20, thin=3, seed=55,
-                          calibrate=True)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
+                          calibrate=True, mode=mode)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk)
         assert res.calibration_converged is not None
         assert len(calls) == 30 + 20 * 3  # the adaptive burn-in is the burn-in
 
@@ -526,13 +546,12 @@ class TestRunChain:
     @pytest.mark.parametrize("mode", ["boltzmann", "annealed"])
     def test_flat_target_takes_cap_without_probing(self, mode):
         cfg = ChainConfig(beta=0.0, proposal_scale=0.05, burn_in=300, samples=10, thin=1, seed=59,
-                          calibrate=True)
-        res = run_chain(cfg, PSPEC, exact_perceptron_risk, mode=mode)
+                          calibrate=True, mode=mode)
+        res = run_chain(cfg, PSPEC, exact_perceptron_risk)
         assert res.config.proposal_scale == mcmc.MAX_SCALE == math.pi
         assert res.calibration_converged is False
         assert res.steps[-1] == 300 + 10 and res.acceptance_rate == 1.0
-        plain = run_chain(replace(cfg, proposal_scale=math.pi, calibrate=False), PSPEC, exact_perceptron_risk,
-                          mode=mode)
+        plain = run_chain(replace(cfg, proposal_scale=math.pi, calibrate=False), PSPEC, exact_perceptron_risk)
         assert same_chain(res, plain)  # the whole burn-in ran at the cap
 
     @pytest.mark.parametrize("start", [0.05, 0.5, 3.0])
@@ -587,9 +606,9 @@ class TestRunChain:
         assert abs(np.linalg.norm(state.w.values) - 1.0) <= 1e-12
 
     def test_annealed_mode_needs_whole_m(self):
-        cfg = ChainConfig(beta=2.5, proposal_scale=0.4, burn_in=10, samples=10, thin=1, seed=58)
-        with pytest.raises(DomainError):
-            run_chain(cfg, PSPEC, exact_perceptron_risk, mode="annealed")
+        for m in (2.5, math.inf):  # the config refuses it, so no chain can start
+            with pytest.raises(DomainError, match="whole sample count m"):
+                ChainConfig(beta=m, proposal_scale=0.4, burn_in=10, samples=10, thin=1, seed=58, mode="annealed")
 
     def test_acceptance_rate_decreases_with_scale(self):
         rates = []
@@ -735,10 +754,25 @@ class TestBoltzmannSweep:
             calls.append(1)
             return exact_perceptron_risk(w)
 
-        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10,
-                          thin=1, seed=51)
         with pytest.raises(DomainError):
-            boltzmann_sweep(grid, cfg, PSPEC, risk, n_chains=2, mode=mode)
+            cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10,
+                              thin=1, seed=51, mode=mode)  # "tempered" is refused here
+            boltzmann_sweep(grid, cfg, PSPEC, risk, n_chains=2)
+        assert not calls
+
+    def test_base_config_with_acceptance_data_refused_before_any_chain(self):
+        # no sweep reads it, and each forked lane would pickle the dataset back in its configs
+        calls = []
+
+        def risk(w):
+            calls.append(1)
+            return exact_perceptron_risk(w)
+
+        data = gen_gaussian_pair(GaussianClassSpec(20, 2.0), 12, seed=3)
+        cfg = ChainConfig(beta=0.0, proposal_scale=0.5, burn_in=10, samples=10, thin=1, seed=51,
+                          acceptance_data=data)
+        with pytest.raises(DomainError, match="acceptance_data"):
+            boltzmann_sweep([0.0, 5.0], cfg, PSPEC, risk, n_chains=2)
         assert not calls
 
 
@@ -750,6 +784,11 @@ class TestChainConfigValidation:
     def test_malformed_value_refused(self, field, value):
         with pytest.raises(DomainError):
             config(**{field: value})
+
+    @pytest.mark.parametrize("mode", ["tempered", "Boltzmann", ""])
+    def test_unknown_mode_refused(self, mode):
+        with pytest.raises(DomainError, match="unknown chain mode"):
+            config(mode=mode)
 
 
 class TestCurveValidation:

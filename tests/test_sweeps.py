@@ -14,6 +14,7 @@ from risklab.mcmc import ChainResult
 from risklab.sweeps import file_fingerprint, load_sweep, read_curve_csv
 
 GRIDS = {"boltzmann-sweep": ["--beta-grid", "0,3,10"], "annealed": ["--m-grid", "0,5,20"]}
+MODES = {"boltzmann-sweep": "boltzmann", "annealed": "annealed"}
 
 
 def sweep(tmp_path, monkeypatch, command, *flags, chains=2):
@@ -54,7 +55,9 @@ def assert_same_sweep(written, loaded, shape):
 @pytest.mark.parametrize("command", sorted(GRIDS))
 def test_sweep_round_trips(tmp_path, monkeypatch, command):
     out, written = sweep(tmp_path, monkeypatch, command, *GRIDS[command], "--calibrate")
-    assert_same_sweep(written, load_sweep(out), [3, 3])
+    loaded = load_sweep(out)
+    assert_same_sweep(written, loaded, [3, 3])
+    assert {r.config.mode for lane in loaded.runs for r in lane} == {MODES[command]}
 
 
 @pytest.mark.parametrize("chains, grid", [(3, "0,3"), (1, "0,3,10")], ids=["3x2", "1x3"])
@@ -171,6 +174,17 @@ def test_manifest_scale_that_chain_config_refuses_is_refused(tmp_path, monkeypat
     out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"])
     manifest = rewrite_manifest(out, lambda record: record["chains"][1][2].update(proposal_scale=-1))
     with pytest.raises(ConfigError, match=re.escape(f"{manifest}: proposal_scale must be finite and > 0")):
+        load_sweep(out)
+
+
+@pytest.mark.parametrize("calibrate, point, scale", [([], 2, 99), (["--calibrate"], 2, 99), (["--calibrate"], 0, 1.0)],
+                         ids=["uncalibrated", "calibrated", "calibrated-beta-0"])
+def test_manifest_scale_its_parameters_rule_out_is_refused(tmp_path, monkeypatch, calibrate, point, scale):
+    # uncalibrated, every chain samples at --proposal-scale; calibrated, at no more than MAX_SCALE = pi,
+    # and a beta = 0 chain at pi exactly
+    out, _ = sweep(tmp_path, monkeypatch, "boltzmann-sweep", *GRIDS["boltzmann-sweep"], *calibrate)
+    manifest = rewrite_manifest(out, lambda record: record["chains"][1][point].update(proposal_scale=scale))
+    with pytest.raises(ConfigError, match=re.escape(f"{manifest}: 'chains'[1][{point}] proposal_scale is not one")):
         load_sweep(out)
 
 
